@@ -12,6 +12,12 @@
 //     delivered bytes + billing and within the documented tolerance on
 //     completion times. Disagreement exits nonzero (CI hard gate).
 //
+// The storm-scaling gate runs two CellBricks storms (200 and 800 UEs; 50 and
+// 200 with --smoke) one at a time, apart from the sweep so the sweep's
+// wall_s stays comparable with its frozen baseline. The attach path must
+// scale linearly: wall/UE at the larger N must stay within 2x of wall/UE at
+// the smaller N, or the bench exits nonzero.
+//
 // Every sweep point is an independent seeded Simulator, so points run
 // concurrently on a TrialRunner thread pool; results are collected in
 // submission order and the tables print identically to a sequential run.
@@ -74,6 +80,14 @@ struct Agreement {
   bool pass = false;
 };
 
+/// The storm-scaling gate's two points and verdict (see header).
+struct StormScaling {
+  static constexpr double kBound = 2.0;  // max wall/UE growth, larger vs smaller N
+  std::vector<StormPoint> points;
+  double ratio = 0.0;  // wall/UE at the larger N over wall/UE at the smaller N
+  bool pass = false;
+};
+
 const char* arch_name(Architecture a) { return a == Architecture::CellBricks ? "CB" : "BL"; }
 
 double now_s() {
@@ -93,6 +107,26 @@ double peak_rss_mb() {
   }
   std::fclose(f);
   return kb / 1024.0;
+}
+
+/// Sequential, with metrics off: each wall time is its storm's alone and the
+/// run leaves the bench's metrics snapshot untouched.
+StormScaling run_storm_scaling(bool smoke) {
+  obs::ScopedRegistry off(nullptr);
+  StormScaling s;
+  bool completed = true;
+  for (int n : smoke ? std::vector<int>{50, 200} : std::vector<int>{200, 800}) {
+    StormPoint p{n, Architecture::CellBricks, 0.0, {}};
+    const double t0 = now_s();
+    p.result = run_attach_storm(p.arch, n, Duration::millis(7.2), p.loss);
+    p.wall_s = now_s() - t0;
+    completed = completed && p.result.completed == n;
+    s.points.push_back(p);
+  }
+  auto wall_per_ue = [](const StormPoint& p) { return p.wall_s / p.n_ues; };
+  s.ratio = wall_per_ue(s.points.back()) / wall_per_ue(s.points.front());
+  s.pass = completed && s.ratio <= StormScaling::kBound;
+  return s;
 }
 
 /// Reset the kernel's peak-RSS watermark so each curve point reads its OWN
@@ -286,6 +320,8 @@ int main(int argc, char** argv) {
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
 
+  const StormScaling storm_scaling = run_storm_scaling(smoke);
+
   // Fluid scale curve + agreement gates — sequential on purpose (see header).
   std::vector<FluidPoint> curve;
   Agreement agreement;
@@ -333,6 +369,15 @@ int main(int argc, char** argv) {
   }
   std::printf("\n(Lost SAP datagrams are recovered by the bTelco's 1 s retransmission;\n"
               " completion stays high while tail latency grows with loss.)\n");
+
+  std::printf("\n=== Storm-scaling gate: CellBricks storms run one at a time ===\n\n");
+  std::printf("%6s %10s %14s %10s\n", "N UEs", "wall(s)", "wall/UE(ms)", "completed");
+  for (const StormPoint& p : storm_scaling.points) {
+    std::printf("%6d %10.3f %14.3f %6d/%d\n", p.n_ues, p.wall_s, p.wall_s * 1e3 / p.n_ues,
+                p.result.completed, p.n_ues);
+  }
+  std::printf("  wall/UE ratio %.2f (bound %.1f) => %s\n", storm_scaling.ratio,
+              StormScaling::kBound, storm_scaling.pass ? "PASS" : "FAIL");
 
   if (fluid_axis) {
     std::printf("\n=== Fluid scale curve: N bulk downloads, hybrid engine in fluid mode "
@@ -403,7 +448,20 @@ int main(int argc, char** argv) {
     };
     for (const StormPoint& p : points) emit(p);
     for (const StormPoint& p : loss_points) emit(p);
-    std::fprintf(f, "\n  ]");
+    std::fprintf(f, "\n  ],\n  \"storm_scaling\": {\"bound\": %.1f, \"ratio\": %.3f, "
+                 "\"pass\": %s, \"points\": [\n",
+                 StormScaling::kBound, storm_scaling.ratio,
+                 storm_scaling.pass ? "true" : "false");
+    first = true;
+    for (const StormPoint& p : storm_scaling.points) {
+      std::fprintf(f,
+                   "%s    {\"n_ues\": %d, \"completed\": %d, \"mean_ms\": %.2f, "
+                   "\"p99_ms\": %.2f, \"wall_s\": %.4f, \"wall_per_ue_ms\": %.3f}",
+                   first ? "" : ",\n", p.n_ues, p.result.completed, p.result.mean_ms,
+                   p.result.p99_ms, p.wall_s, p.wall_s * 1e3 / p.n_ues);
+      first = false;
+    }
+    std::fprintf(f, "\n  ]}");
     if (fluid_axis) {
       std::fprintf(f, ",\n  \"fluid_wall_s\": %.3f,\n  \"scale_curve\": [\n", fluid_wall_s);
       first = true;
@@ -448,6 +506,12 @@ int main(int argc, char** argv) {
     std::fclose(f);
   }
 
+  if (!storm_scaling.pass) {
+    std::fprintf(stderr, "FAIL: attach-storm wall/UE grew %.2fx from %d to %d UEs (bound %.1fx)\n",
+                 storm_scaling.ratio, storm_scaling.points.front().n_ues,
+                 storm_scaling.points.back().n_ues, StormScaling::kBound);
+    return 1;
+  }
   if (fluid_axis && !agreement.pass) {
     std::fprintf(stderr, "FAIL: packet-vs-fluid agreement outside tolerance\n");
     return 1;

@@ -358,7 +358,6 @@ void Btelco::install_session(const TelcoSession& ts, net::Node* ue_node,
     if (it == sessions_.end()) return;
     it->second.radio_link->send(&node_, std::move(packet));
   });
-  network_.recompute_routes();
 
   by_ip_[s.ip] = s.id;
   const net::Ipv4Addr ip = s.ip;

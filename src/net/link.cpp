@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "net/node.hpp"
+#include "net/network.hpp"
 
 namespace cb::net {
 
@@ -31,6 +31,7 @@ const Link::Direction& Link::dir_from(const Node* from) const {
 }
 
 void Link::set_params(Node* from, const LinkParams& params) {
+  if (params.delay != this->params(from).delay) a_->network().invalidate_routes();
   dir_from(from).params = params;
 }
 
@@ -39,6 +40,7 @@ const LinkParams& Link::params(Node* from) const { return dir_from(from).params;
 void Link::set_up(bool up) {
   if (up_ == up) return;
   up_ = up;
+  a_->network().invalidate_routes();
   if (!up) {
     for (Direction* d : {&ab_, &ba_}) {
       drops_ += d->queue.size();

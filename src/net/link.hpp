@@ -41,13 +41,14 @@ class Link {
   void send(Node* from, Packet packet);
 
   /// Replace the transmission parameters of the `from` -> peer direction
-  /// (queued packets keep flowing under the new parameters).
+  /// (queued packets keep flowing under the new parameters). A delay change
+  /// can move routes, so it marks the network's next-hop tables stale.
   void set_params(Node* from, const LinkParams& params);
   const LinkParams& params(Node* from) const;
 
   /// Administratively enable/disable. Bringing a link down clears queues —
   /// in-flight radio frames are lost on detach, exactly the case MPTCP must
-  /// survive.
+  /// survive. Either transition marks the network's next-hop tables stale.
   void set_up(bool up);
   bool is_up() const { return up_; }
 

@@ -7,7 +7,8 @@
 namespace cb::net {
 
 Node* Network::add_node(const std::string& name) {
-  nodes_.push_back(std::make_unique<Node>(sim_, name));
+  nodes_.push_back(std::make_unique<Node>(*this, nodes_.size(), name));
+  tables_.emplace_back();
   return nodes_.back().get();
 }
 
@@ -17,6 +18,7 @@ Link* Network::connect(Node* a, Node* b, const LinkParams& params) {
 
 Link* Network::connect(Node* a, Node* b, const LinkParams& a_to_b, const LinkParams& b_to_a) {
   links_.push_back(std::make_unique<Link>(sim_, a, b, a_to_b, b_to_a));
+  invalidate_routes();
   return links_.back().get();
 }
 
@@ -45,49 +47,53 @@ Ipv4Addr Network::alloc_address(std::uint8_t subnet_high8) {
   return Ipv4Addr(static_cast<std::uint32_t>(subnet_high8) << 24 | next);
 }
 
+Link* Network::next_hop(const Node& from, Ipv4Addr dst) {
+  const Node* owner = owner_of(dst);
+  if (owner == nullptr || owner == &from) return nullptr;
+  RouteTable& table = tables_[from.index()];
+  if (table.version != topology_version_) rebuild_routes(from.index());
+  auto it = table.next_hop.find(owner);
+  return it == table.next_hop.end() ? nullptr : it->second;
+}
+
 void Network::recompute_routes() {
-  // Dijkstra from each node over up links; weight = propagation delay + a
-  // tiny hop cost so zero-delay meshes still prefer fewer hops.
-  std::unordered_map<const Node*, std::size_t> index;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) index[nodes_[i].get()] = i;
+  for (std::size_t src = 0; src < nodes_.size(); ++src) rebuild_routes(src);
+}
 
+void Network::rebuild_routes(std::size_t src) {
+  // Dijkstra from `src` over up links; weight = propagation delay + a tiny
+  // hop cost so zero-delay meshes still prefer fewer hops.
   const std::size_t n = nodes_.size();
-  for (std::size_t src = 0; src < n; ++src) {
-    std::vector<double> dist(n, std::numeric_limits<double>::infinity());
-    std::vector<Link*> first_hop(n, nullptr);
-    using QEntry = std::pair<double, std::size_t>;
-    std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
-    dist[src] = 0.0;
-    pq.push({0.0, src});
+  std::vector<double> dist(n, std::numeric_limits<double>::infinity());
+  std::vector<Link*> first_hop(n, nullptr);
+  using QEntry = std::pair<double, std::size_t>;
+  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
+  dist[src] = 0.0;
+  pq.push({0.0, src});
 
-    while (!pq.empty()) {
-      auto [d, u] = pq.top();
-      pq.pop();
-      if (d > dist[u]) continue;
-      for (Link* link : nodes_[u]->links()) {
-        if (!link->is_up()) continue;
-        Node* peer = link->peer(nodes_[u].get());
-        auto pit = index.find(peer);
-        if (pit == index.end()) continue;
-        const std::size_t v = pit->second;
-        const double w = link->params(nodes_[u].get()).delay.to_seconds() + 1e-9;
-        if (dist[u] + w < dist[v]) {
-          dist[v] = dist[u] + w;
-          first_hop[v] = (u == src) ? link : first_hop[u];
-          pq.push({dist[v], v});
-        }
+  while (!pq.empty()) {
+    auto [d, u] = pq.top();
+    pq.pop();
+    if (d > dist[u]) continue;
+    for (Link* link : nodes_[u]->links()) {
+      if (!link->is_up()) continue;
+      const std::size_t v = link->peer(nodes_[u].get())->index();
+      const double w = link->params(nodes_[u].get()).delay.to_seconds() + 1e-9;
+      if (dist[u] + w < dist[v]) {
+        dist[v] = dist[u] + w;
+        first_hop[v] = (u == src) ? link : first_hop[u];
+        pq.push({dist[v], v});
       }
     }
-
-    Node* source = nodes_[src].get();
-    source->clear_host_routes();
-    for (const auto& [addr, owner] : address_owner_) {
-      if (owner == source) continue;
-      auto oit = index.find(owner);
-      if (oit == index.end()) continue;
-      if (Link* hop = first_hop[oit->second]) source->set_route(addr, hop);
-    }
   }
+
+  RouteTable& table = tables_[src];
+  table.next_hop.clear();
+  for (std::size_t v = 0; v < n; ++v) {
+    if (first_hop[v] != nullptr) table.next_hop.emplace(nodes_[v].get(), first_hop[v]);
+  }
+  table.version = topology_version_;
+  ++route_rebuilds_;
 }
 
 }  // namespace cb::net

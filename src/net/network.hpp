@@ -1,8 +1,9 @@
 // Topology manager: owns nodes and links, maps addresses to owner nodes,
-// and computes static shortest-path routes (Dijkstra over link delay).
+// and computes shortest-path routes (Dijkstra over link delay).
 //
-// Acts as the simulation's routing oracle: after any topology or addressing
-// change, call recompute_routes() and every node gets fresh host routes.
+// Acts as the simulation's routing oracle: nodes forward toward the owner node
+// of a destination via per-node next-hop tables, rebuilt on the first forward
+// after a link is added, goes up/down, or changes delay (never on address churn).
 #pragma once
 
 #include <memory>
@@ -40,18 +41,37 @@ class Network {
   /// Allocate a fresh unique address in `subnet_high8.x.y.z` order.
   Ipv4Addr alloc_address(std::uint8_t subnet_high8);
 
-  /// Rebuild every node's route table from current link state.
+  /// First link on the shortest up path from `from` to the owner of `dst`
+  /// (rebuilding a stale table first); nullptr if unowned, local, or unreachable.
+  Link* next_hop(const Node& from, Ipv4Addr dst);
+
+  /// Eagerly rebuild every node's next-hop table. Forwarding never needs
+  /// this; it exists to measure the full rebuild cost.
   void recompute_routes();
 
   sim::Simulator& simulator() { return sim_; }
   const std::vector<std::unique_ptr<Node>>& nodes() const { return nodes_; }
 
+  /// Diagnostics: single-source next-hop table rebuilds so far.
+  std::uint64_t route_rebuilds() const { return route_rebuilds_; }
+
  private:
+  friend class Link;  // link up/down and delay changes call invalidate_routes()
+  void invalidate_routes() { ++topology_version_; }
+  void rebuild_routes(std::size_t src);
+
+  struct RouteTable {
+    std::uint64_t version = 0;  // topology_version_ at build time; 0 = never
+    std::unordered_map<const Node*, Link*> next_hop;  // reachable node -> hop
+  };
   sim::Simulator& sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   std::unordered_map<Ipv4Addr, Node*> address_owner_;
   std::unordered_map<std::uint8_t, std::uint32_t> next_host_;
+  std::vector<RouteTable> tables_;  // indexed like nodes_
+  std::uint64_t topology_version_ = 1;
+  std::uint64_t route_rebuilds_ = 0;
 };
 
 }  // namespace cb::net

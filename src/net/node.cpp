@@ -4,10 +4,12 @@
 #include <stdexcept>
 
 #include "common/log.hpp"
+#include "net/network.hpp"
 
 namespace cb::net {
 
-Node::Node(sim::Simulator& sim, std::string name) : sim_(sim), name_(std::move(name)) {}
+Node::Node(Network& network, std::size_t index, std::string name)
+    : network_(network), sim_(network.simulator()), index_(index), name_(std::move(name)) {}
 
 void Node::add_address(Ipv4Addr addr) {
   if (!addr.valid()) throw std::invalid_argument("Node: invalid address");
@@ -34,18 +36,7 @@ void Node::remove_proxy_address(Ipv4Addr addr) { proxy_addresses_.erase(addr); }
 
 void Node::attach_link(Link* link) { links_.push_back(link); }
 
-void Node::set_route(Ipv4Addr dst, Link* via) { routes_[dst] = via; }
-
-void Node::clear_route(Ipv4Addr dst) { routes_.erase(dst); }
-
 void Node::set_default_route(Link* via) { default_route_ = via; }
-
-void Node::clear_routes() {
-  routes_.clear();
-  default_route_ = nullptr;
-}
-
-void Node::clear_host_routes() { routes_.clear(); }
 
 void Node::set_forward_hook(std::function<bool(Packet&)> hook) {
   forward_hook_ = std::move(hook);
@@ -98,12 +89,8 @@ void Node::forward(Packet&& packet) {
 
   if (forward_hook_ && forward_hook_(packet)) return;
 
-  Link* via = default_route_;
-  if (auto it = routes_.find(packet.dst.addr); it != routes_.end()) {
-    // A stale host route whose link has gone down (e.g. the radio bearer of
-    // a previous attachment) must not shadow a live default route.
-    if (it->second->is_up() || via == nullptr) via = it->second;
-  }
+  Link* via = network_.next_hop(*this, packet.dst.addr);
+  if (via == nullptr) via = default_route_;
   if (via == nullptr || !via->is_up()) {
     ++dropped_no_route_;
     CB_LOG(Debug, "net") << name_ << ": no route to " << packet.dst.addr.to_string();

@@ -8,7 +8,6 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/link.hpp"
@@ -17,15 +16,19 @@
 
 namespace cb::net {
 
+class Network;
+
 class Node {
  public:
-  Node(sim::Simulator& sim, std::string name);
+  Node(Network& network, std::size_t index, std::string name);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
   const std::string& name() const { return name_; }
   sim::Simulator& simulator() { return sim_; }
+  Network& network() { return network_; }
+  std::size_t index() const { return index_; }
 
   /// Fault injection: a down node drops everything — packets it would send,
   /// receive, or forward — until brought back up. Addressing, routes, and
@@ -51,14 +54,8 @@ class Node {
   void attach_link(Link* link);
   const std::vector<Link*>& links() const { return links_; }
 
-  void set_route(Ipv4Addr dst, Link* via);
-  void clear_route(Ipv4Addr dst);
+  /// Used when Network::next_hop has no path (e.g. a UE's serving bearer).
   void set_default_route(Link* via);
-  /// Remove everything, including the default route.
-  void clear_routes();
-  /// Remove per-destination routes but keep the default route (used by the
-  /// routing oracle so host-configured defaults survive recomputation).
-  void clear_host_routes();
 
   /// Inspect/steer transit packets before routing. Return true if the hook
   /// consumed the packet (it forwarded or dropped it itself).
@@ -90,12 +87,13 @@ class Node {
  private:
   void forward(Packet&& packet);
 
+  Network& network_;
   sim::Simulator& sim_;
+  const std::size_t index_;
   std::string name_;
   std::vector<Ipv4Addr> addresses_;
   std::unordered_map<Ipv4Addr, std::function<void(Packet&&)>> proxy_addresses_;
   std::vector<Link*> links_;
-  std::unordered_map<Ipv4Addr, Link*> routes_;
   Link* default_route_ = nullptr;
   std::function<bool(Packet&)> forward_hook_;
   std::unordered_map<std::uint16_t, UdpHandler> udp_handlers_;

@@ -101,7 +101,6 @@ AttachStorm run_attach_storm(Architecture arch, int n_ues, Duration cloud_rtt,
   net::LinkParams control{.rate_bps = 1e9, .delay = cloud_rtt / 2};
   control.loss = control_loss;
   network.connect(tower, cloud, control);
-  network.recompute_routes();
 
   Summary latency_ms;
   int completed = 0;
@@ -142,7 +141,6 @@ AttachStorm run_attach_storm(Architecture arch, int n_ues, Duration cloud_rtt,
                                                          crypto::RsaKeyPair(ue_keys),
                                                          broker_pk)});
     }
-    network.recompute_routes();
 
     Rng rng = sim.rng().fork(0x99);
     for (auto& ue : ues) {
@@ -161,7 +159,6 @@ AttachStorm run_attach_storm(Architecture arch, int n_ues, Duration cloud_rtt,
     sim.run_for(Duration::s(120));
   } else {
     epc::Hss hss(*cloud, epc::EpcProcProfile{}.hss_req);
-    network.recompute_routes();
     epc::SgwPgw spgw(network, *tower, 10);
     epc::Mme mme(*tower, spgw, net::EndPoint{cloud_addr, epc::kHssPort});
     struct StormUe {
@@ -176,7 +173,6 @@ AttachStorm run_attach_storm(Architecture arch, int n_ues, Duration cloud_rtt,
       net::Link* radio = network.connect(node, tower, net::LinkParams{.rate_bps = 50e6});
       ues.push_back({node, radio});
     }
-    network.recompute_routes();
 
     for (int i = 0; i < n_ues; ++i) {
       const std::string imsi = "imsi-" + std::to_string(i);

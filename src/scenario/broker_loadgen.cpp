@@ -146,7 +146,6 @@ BrokerLoadgen::BrokerLoadgen(BrokerLoadgenConfig config)
     });
     clients_.push_back(std::move(c));
   }
-  network_.recompute_routes();
 }
 
 BrokerLoadgen::~BrokerLoadgen() = default;

@@ -352,9 +352,6 @@ void ScaleTrafficSim::demote_to_lane(traffic::SessionId id) {
     lane->ue_addr = im.net->alloc_address(20);
     im.net->register_address(lane->srv_addr, lane->srv);
     im.net->register_address(lane->ue_addr, lane->ue);
-    // Point-to-point: static routes, no global recompute mid-sim.
-    lane->srv->set_route(lane->ue_addr, lane->link);
-    lane->ue->set_route(lane->srv_addr, lane->link);
     lane->srv_stack = std::make_unique<transport::TcpStack>(*lane->srv);
     lane->ue_stack = std::make_unique<transport::TcpStack>(*lane->ue);
     im.lanes.push_back(std::move(lane));
@@ -474,7 +471,6 @@ void ScaleTrafficSim::build_packet() {
     im.ue_nodes.push_back(ue);
     im.ue_stacks.push_back(std::make_unique<transport::TcpStack>(*ue));
   }
-  im.net->recompute_routes();
 
   for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint16_t port = static_cast<std::uint16_t>(kBasePort + i);

@@ -91,7 +91,6 @@ void World::build_topology() {
     radio_link->set_up(false);
     ran_map_.add(cell, ran::TowerSite{tower, radio_link});
   }
-  network_.recompute_routes();
 
   // The UE starts at the first tower and drives the full line.
   const double route_len = spacing * (config_.n_towers - 1);
@@ -133,7 +132,6 @@ void World::build_mno() {
   }
   const net::Ipv4Addr agw_addr(3, 3, 3, 3);
   network_.register_address(agw_addr, agw_);
-  network_.recompute_routes();
 
   hss_ = std::make_unique<epc::Hss>(*cloud_, epc::EpcProcProfile{}.hss_req);
   hss_->add_subscriber("imsi-001", Bytes(32, 0x42));
@@ -197,7 +195,6 @@ void World::build_cellbricks() {
           *host, cellbricks::SapBroker("broker-0", broker_keys, broker_cert,
                                        ca_->public_key()));
     }
-    network_.recompute_routes();
     broker_cluster_->add_subscriber("user-001", ue_keys.public_key());
     broker_cluster_->start();
     shard_router_ = std::make_unique<cellbricks::ShardRouter>(
@@ -269,7 +266,6 @@ void World::start() {
     if (!ue_nas_->attached()) {
       ue_nas_->attach(new_cell, [this, new_cell](Result<net::Ipv4Addr> result) {
         if (result.ok()) {
-          network_.recompute_routes();
           install_shaper(new_cell);
         } else {
           CB_LOG(Warn, "world") << "MNO attach failed: " << result.error();

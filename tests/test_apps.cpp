@@ -21,7 +21,6 @@ struct AppWorld {
     network.register_address(net::Ipv4Addr(10, 0, 0, 1), client);
     network.register_address(net::Ipv4Addr(1, 1, 1, 1), server);
     this->link = network.connect(client, server, link);
-    network.recompute_routes();
     client_tcp = std::make_unique<transport::TcpStack>(*client);
     server_tcp = std::make_unique<transport::TcpStack>(*server);
   }
@@ -140,7 +139,6 @@ TEST(Voip, ReInviteFollowsNewSourceAddress) {
   w.network.unregister_address(net::Ipv4Addr(10, 0, 0, 1));
   w.client->remove_address(net::Ipv4Addr(10, 0, 0, 1));
   w.network.register_address(net::Ipv4Addr(10, 9, 0, 1), w.client);
-  w.network.recompute_routes();
   w.sim.run_for(Duration::s(5));
 
   EXPECT_NE(callee.peer(), before);

@@ -301,7 +301,6 @@ struct BrokerdHarness {
     network.register_address(client_addr, client_node);
     network.connect(client_node, broker_node,
                     net::LinkParams{.rate_bps = 1e9, .delay = Duration::ms(5)});
-    network.recompute_routes();
 
     ue = std::make_unique<SapUe>("user-9", "broker-0", std::move(ue_keys),
                                  broker_cert.key());

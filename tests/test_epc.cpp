@@ -268,7 +268,6 @@ struct EpcWorld {
     network.connect(tower2, agw, net::LinkParams{.rate_bps = 10e9, .delay = Duration::ms(2)});
     network.connect(agw, cloud, net::LinkParams{.rate_bps = 1e9, .delay = cloud_rtt / 2});
     network.connect(agw, server, net::LinkParams{.rate_bps = 10e9, .delay = Duration::ms(17)});
-    network.recompute_routes();
 
     ran_map.add(1, ran::TowerSite{tower1, radio1});
     ran_map.add(2, ran::TowerSite{tower2, radio2});
@@ -289,7 +288,6 @@ struct EpcWorld {
     });
     sim.run_for(Duration::s(30));
     EXPECT_TRUE(done);
-    if (out.ok()) network.recompute_routes();
     return out;
   }
 

@@ -97,7 +97,6 @@ TEST(NetFaults, LinkCorruptionFlipsPayloadBytes) {
   net::LinkParams params;
   params.corrupt = 1.0;  // every packet gets one byte flipped
   net::Link* link = network.connect(a, b, params);
-  network.recompute_routes();
 
   int received = 0, garbled = 0;
   b->bind_udp(5000, [&](const net::Packet& p) {
@@ -128,7 +127,6 @@ TEST(NetFaults, DownNodeDropsTrafficInsteadOfForwarding) {
   network.register_address(net::Ipv4Addr(10, 0, 0, 1), a);
   network.register_address(net::Ipv4Addr(10, 0, 0, 2), b);
   network.connect(a, b, net::LinkParams{});
-  network.recompute_routes();
 
   int received = 0;
   b->bind_udp(5000, [&](const net::Packet&) { ++received; });

@@ -28,7 +28,6 @@ struct MobileWorld {
     radio2 = net.connect(ue, gw2, LinkParams{.rate_bps = 20e6, .delay = Duration::ms(10)});
     radio2->set_up(false);
     net.register_address(ip1, ue);
-    net.recompute_routes();
 
     ue_tcp = std::make_unique<TcpStack>(*ue);
     server_tcp = std::make_unique<TcpStack>(*server);
@@ -42,12 +41,10 @@ struct MobileWorld {
     radio1->set_up(false);
     net.unregister_address(ip1);
     ue->remove_address(ip1);
-    net.recompute_routes();
     ue_mptcp->notify_address_invalidated(ip1);
     sim.schedule(attach_latency, [this] {
       radio2->set_up(true);
       net.register_address(ip2, ue);
-      net.recompute_routes();
       ue_mptcp->notify_address_available(ip2);
     });
   }
@@ -167,12 +164,10 @@ TEST(Mptcp, SurvivesManyConsecutiveHandovers) {
       from->set_up(false);
       w.net.unregister_address(from_ip);
       w.ue->remove_address(from_ip);
-      w.net.recompute_routes();
       w.ue_mptcp->notify_address_invalidated(from_ip);
       w.sim.schedule(Duration::ms(32), [&w, to, to_ip] {
         to->set_up(true);
         w.net.register_address(to_ip, w.ue);
-        w.net.recompute_routes();
         w.ue_mptcp->notify_address_available(to_ip);
       });
     });
@@ -220,7 +215,6 @@ TEST(Mptcp, TearsDownAfterPathTimeout) {
   w.radio1->set_up(false);
   w.net.unregister_address(w.ip1);
   w.ue->remove_address(w.ip1);
-  w.net.recompute_routes();
   w.ue_mptcp->notify_address_invalidated(w.ip1);
   w.sim.run_for(Duration::s(30));
   EXPECT_TRUE(t.done);

@@ -1,5 +1,6 @@
 // Unit tests for the simulated network layer: links (delay/rate/loss/queue),
-// node forwarding, routing, proxy anchors, and dynamic re-addressing.
+// node forwarding, routing (incl. lazy rebuilds after topology changes),
+// proxy anchors, and dynamic re-addressing.
 #include <gtest/gtest.h>
 
 #include "net/network.hpp"
@@ -48,7 +49,6 @@ TEST(Link, DeliversWithPropagationDelay) {
   t.network.register_address(Ipv4Addr(10, 0, 0, 1), t.a);
   t.network.register_address(Ipv4Addr(10, 0, 0, 2), t.b);
   t.network.connect(t.a, t.b, LinkParams{.delay = Duration::ms(10)});
-  t.network.recompute_routes();
 
   TimePoint arrival;
   t.b->bind_udp(5000, [&](const Packet&) { arrival = t.sim.now(); });
@@ -63,7 +63,6 @@ TEST(Link, SerializationDelayDependsOnRate) {
   t.network.register_address(Ipv4Addr(10, 0, 0, 2), t.b);
   // 1 Mb/s: a 1000+40 byte packet takes 8.32 ms to serialize.
   t.network.connect(t.a, t.b, LinkParams{.rate_bps = 1e6, .delay = Duration::zero()});
-  t.network.recompute_routes();
 
   TimePoint arrival;
   t.b->bind_udp(5000, [&](const Packet&) { arrival = t.sim.now(); });
@@ -77,7 +76,6 @@ TEST(Link, BackToBackPacketsQueueBehindEachOther) {
   t.network.register_address(Ipv4Addr(10, 0, 0, 1), t.a);
   t.network.register_address(Ipv4Addr(10, 0, 0, 2), t.b);
   t.network.connect(t.a, t.b, LinkParams{.rate_bps = 1e6});
-  t.network.recompute_routes();
 
   std::vector<double> arrivals;
   t.b->bind_udp(5000, [&](const Packet&) { arrivals.push_back(t.sim.now().to_seconds()); });
@@ -99,7 +97,6 @@ TEST(Link, QueueOverflowDrops) {
   LinkParams params{.rate_bps = 1e6};
   params.queue_bytes = 3000;
   Link* link = t.network.connect(t.a, t.b, params);
-  t.network.recompute_routes();
 
   int received = 0;
   t.b->bind_udp(5000, [&](const Packet&) { ++received; });
@@ -118,7 +115,6 @@ TEST(Link, RandomLossDropsRoughlyAtRate) {
   LinkParams params;
   params.loss = 0.3;
   t.network.connect(t.a, t.b, params);
-  t.network.recompute_routes();
 
   int received = 0;
   t.b->bind_udp(5000, [&](const Packet&) { ++received; });
@@ -135,7 +131,6 @@ TEST(Link, DownLinkDropsEverything) {
   t.network.register_address(Ipv4Addr(10, 0, 0, 1), t.a);
   t.network.register_address(Ipv4Addr(10, 0, 0, 2), t.b);
   Link* link = t.network.connect(t.a, t.b, LinkParams{});
-  t.network.recompute_routes();
 
   int received = 0;
   t.b->bind_udp(5000, [&](const Packet&) { ++received; });
@@ -162,7 +157,6 @@ TEST(Routing, MultiHopForwarding) {
   net.connect(a, r1, LinkParams{.delay = Duration::ms(1)});
   net.connect(r1, r2, LinkParams{.delay = Duration::ms(1)});
   net.connect(r2, b, LinkParams{.delay = Duration::ms(1)});
-  net.recompute_routes();
 
   TimePoint arrival;
   int count = 0;
@@ -191,7 +185,6 @@ TEST(Routing, ShortestDelayPathWins) {
   net.connect(fast, b, LinkParams{.delay = Duration::ms(1)});
   net.connect(a, slow, LinkParams{.delay = Duration::ms(50)});
   net.connect(slow, b, LinkParams{.delay = Duration::ms(50)});
-  net.recompute_routes();
 
   int count = 0;
   b->bind_udp(80, [&](const Packet&) { ++count; });
@@ -219,7 +212,6 @@ TEST(Routing, ReaddressingMovesDelivery) {
 
   const Ipv4Addr ip1(10, 1, 0, 1);
   net.register_address(ip1, ue);
-  net.recompute_routes();
 
   int received = 0;
   ue->bind_udp(9000, [&](const Packet&) { ++received; });
@@ -233,7 +225,6 @@ TEST(Routing, ReaddressingMovesDelivery) {
   net.unregister_address(ip1);
   const Ipv4Addr ip2(10, 2, 0, 1);
   net.register_address(ip2, ue);
-  net.recompute_routes();
 
   server->send(make_udp({Ipv4Addr(1, 1, 1, 1), 1}, {ip2, 9000}, 10));
   sim.run();
@@ -247,7 +238,6 @@ TEST(Node, ProxyAddressInterceptsPackets) {
   // 99.0.0.1 is anchored at b but NOT local there.
   t.network.register_address(Ipv4Addr(99, 0, 0, 1), t.b, /*proxy_only=*/true);
   t.network.connect(t.a, t.b, LinkParams{});
-  t.network.recompute_routes();
 
   int proxied = 0;
   t.b->add_proxy_address(Ipv4Addr(99, 0, 0, 1), [&](Packet&&) { ++proxied; });
@@ -266,7 +256,6 @@ TEST(Node, ForwardHookCanConsume) {
   net.register_address(Ipv4Addr(10, 0, 0, 2), b);
   net.connect(a, mid, LinkParams{});
   net.connect(mid, b, LinkParams{});
-  net.recompute_routes();
 
   int hook_count = 0, received = 0;
   mid->set_forward_hook([&](Packet&) {
@@ -286,14 +275,127 @@ TEST(Node, TtlPreventsRoutingLoops) {
   Node* a = net.add_node("a");
   Node* b = net.add_node("b");
   Link* ab = net.connect(a, b, LinkParams{});
-  // Deliberately broken routing: each node points back across the link for
-  // an address neither owns.
-  a->set_route(Ipv4Addr(77, 0, 0, 1), ab);
-  b->set_route(Ipv4Addr(77, 0, 0, 1), ab);
+  // Deliberately broken routing: no node owns 77.0.0.1, and each node's
+  // default route points back across the link.
+  a->set_default_route(ab);
+  b->set_default_route(ab);
 
   a->send(make_udp({Ipv4Addr(10, 0, 0, 1), 1}, {Ipv4Addr(77, 0, 0, 1), 80}, 10));
   sim.run();  // must terminate
   EXPECT_GT(a->dropped_no_route() + b->dropped_no_route(), 0u);
+  EXPECT_GT(a->forwarded() + b->forwarded(), 2u);
+}
+
+// Routes follow topology changes on the next forward, with no rebuild call.
+
+/// a-fast-b (1+1 ms) and a-slow-b (50+50 ms); 10.0.0.2 lives at b.
+struct Diamond {
+  sim::Simulator sim;
+  Network net{sim};
+  Node* a = net.add_node("a");
+  Node* fast = net.add_node("fast");
+  Node* slow = net.add_node("slow");
+  Node* b = net.add_node("b");
+  Link* a_fast = net.connect(a, fast, LinkParams{.delay = Duration::ms(1)});
+  Link* fast_b = net.connect(fast, b, LinkParams{.delay = Duration::ms(1)});
+  Link* a_slow = net.connect(a, slow, LinkParams{.delay = Duration::ms(50)});
+  Link* slow_b = net.connect(slow, b, LinkParams{.delay = Duration::ms(50)});
+  int received = 0;
+
+  Diamond() {
+    net.register_address(Ipv4Addr(10, 0, 0, 1), a);
+    net.register_address(Ipv4Addr(10, 0, 0, 2), b);
+    b->bind_udp(80, [this](const Packet&) { ++received; });
+  }
+  void ping() {
+    a->send(make_udp({Ipv4Addr(10, 0, 0, 1), 1}, {Ipv4Addr(10, 0, 0, 2), 80}, 50));
+    sim.run();
+  }
+};
+
+TEST(Routing, AddressRegisteredAfterBuildIsReachable) {
+  Diamond d;
+  d.ping();  // builds a's and fast's tables
+  const Ipv4Addr late(10, 0, 0, 3);
+  d.net.register_address(late, d.b);
+  d.a->send(make_udp({Ipv4Addr(10, 0, 0, 1), 1}, {late, 80}, 50));
+  d.sim.run();
+  EXPECT_EQ(d.received, 2);
+  EXPECT_EQ(d.fast->forwarded(), 2u);
+}
+
+TEST(Routing, LinkDownReroutesAndUpRestores) {
+  Diamond d;
+  d.ping();
+  EXPECT_EQ(d.fast->forwarded(), 1u);
+
+  d.fast_b->set_up(false);
+  d.ping();
+  EXPECT_EQ(d.received, 2);
+  EXPECT_EQ(d.slow->forwarded(), 1u);
+  EXPECT_EQ(d.a->dropped_no_route(), 0u);
+
+  d.fast_b->set_up(true);
+  d.ping();
+  EXPECT_EQ(d.received, 3);
+  EXPECT_EQ(d.fast->forwarded(), 2u);
+  EXPECT_EQ(d.slow->forwarded(), 1u);
+}
+
+TEST(Routing, DelayChangeMovesRoute) {
+  Diamond d;
+  d.ping();
+  EXPECT_EQ(d.fast->forwarded(), 1u);
+
+  // A rate change cannot move a route; a delay change can.
+  d.a_fast->set_params(d.a, LinkParams{.rate_bps = 1e9, .delay = Duration::ms(1)});
+  d.ping();
+  EXPECT_EQ(d.fast->forwarded(), 2u);
+  d.a_fast->set_params(d.a, LinkParams{.delay = Duration::ms(200)});
+  d.ping();
+  EXPECT_EQ(d.received, 3);
+  EXPECT_EQ(d.slow->forwarded(), 1u);
+}
+
+TEST(Routing, ReleasedAddressIsDroppedAtSender) {
+  TwoNodes t;
+  t.network.register_address(Ipv4Addr(10, 0, 0, 1), t.a);
+  const Ipv4Addr released(10, 0, 0, 2);
+  t.network.register_address(released, t.b);
+  Link* link = t.network.connect(t.a, t.b, LinkParams{});
+  t.a->send(make_udp({Ipv4Addr(10, 0, 0, 1), 1}, {released, 5000}, 10));
+  t.sim.run();
+  const std::uint64_t bytes_before = link->counters(t.a).sent_bytes;
+  ASSERT_GT(bytes_before, 0u);
+
+  t.network.unregister_address(released);
+  t.a->send(make_udp({Ipv4Addr(10, 0, 0, 1), 1}, {released, 5000}, 10));
+  t.sim.run();
+  EXPECT_EQ(t.a->dropped_no_route(), 1u);
+  EXPECT_EQ(link->counters(t.a).sent_bytes, bytes_before);
+  EXPECT_EQ(t.b->forwarded() + t.b->dropped_no_route(), 0u);
+}
+
+TEST(Routing, AddressChurnNeverRebuildsTables) {
+  // A gateway anchoring a fresh subscriber address per attach: a -> r -> b.
+  sim::Simulator sim;
+  Network net(sim);
+  Node* a = net.add_node("a");
+  Node* r = net.add_node("r");
+  Node* b = net.add_node("b");
+  net.register_address(Ipv4Addr(10, 0, 0, 1), a);
+  net.connect(a, r, LinkParams{});
+  net.connect(r, b, LinkParams{});
+  int proxied = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const Ipv4Addr ip = net.alloc_address(30);
+    net.register_address(ip, b, /*proxy_only=*/true);
+    b->add_proxy_address(ip, [&](Packet&&) { ++proxied; });
+    a->send(make_udp({Ipv4Addr(10, 0, 0, 1), 1}, {ip, 80}, 10));
+    sim.run();
+  }
+  EXPECT_EQ(proxied, 1000);
+  EXPECT_LE(net.route_rebuilds(), 2u);  // at most once each for a and r
 }
 
 TEST(Node, UdpPortBindingRules) {

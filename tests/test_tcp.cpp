@@ -23,7 +23,6 @@ struct World {
     net.register_address(Ipv4Addr(10, 0, 0, 1), client_node);
     net.register_address(Ipv4Addr(10, 0, 0, 2), server_node);
     link = net.connect(client_node, server_node, link_params);
-    net.recompute_routes();
     client = std::make_unique<TcpStack>(*client_node, client_cfg);
     server = std::make_unique<TcpStack>(*server_node);
   }

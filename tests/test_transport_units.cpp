@@ -121,7 +121,6 @@ struct MssWorld {
     net.register_address(net::Ipv4Addr(10, 0, 0, 1), a);
     net.register_address(net::Ipv4Addr(10, 0, 0, 2), b);
     net.connect(a, b, net::LinkParams{.rate_bps = 10e6, .delay = Duration::ms(5)});
-    net.recompute_routes();
     stack_a = std::make_unique<TcpStack>(*a, cfg);
     stack_b = std::make_unique<TcpStack>(*b, cfg);
   }

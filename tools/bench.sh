@@ -225,6 +225,12 @@ thread_agreement = scale_raw["thread_agreement"]
 assert thread_agreement["pass"], \
     f"fluid thread-count determinism FAILED: {thread_agreement}"
 
+# Storm-scaling gate (EXPERIMENTS.md): CB storms at two sizes, run apart from
+# the sweep; wall/UE at the larger N within 2x of the smaller. The binary
+# already exits nonzero on failure — re-checked here before freezing.
+storm_scaling = scale_raw["storm_scaling"]
+assert storm_scaling["pass"], f"storm-scaling gate FAILED: {storm_scaling}"
+
 if not smoke:
     # Full runs must carry the headline point: the 1M-UE curve entry, fully
     # completed (the smoke curve stops earlier and is schema-only).
@@ -263,6 +269,7 @@ scale = {
     "speedup": {"wall": round(SCALE_BASE_WALL_S / scale_raw["wall_s"], 2)},
     "instrumentation": instrumentation,
     "points": scale_raw["points"],
+    "storm_scaling": storm_scaling,
     "scale_curve": curve,
     "agreement": agreement,
     "thread_agreement": thread_agreement,

@@ -8,7 +8,8 @@
 #      detect_leaks=0 were broken up in PR 3.
 #   2. Release — tier-1 tests at the optimization level users run, plus a
 #      bench smoke run that validates the BENCH_*.json schema, the metrics
-#      section, and the instrumentation-overhead budget.
+#      section, and the instrumentation-overhead budget, and a smoke run of
+#      every perfbench workload.
 #
 # Usage: tools/ci.sh [--skip-sanitized]
 set -euo pipefail
@@ -130,6 +131,20 @@ build/bench/bench_broker_shards --replay >/dev/null || {
 }
 echo "chaos replay gate ok"
 
+echo "=== perfbench smoke (all four workloads) ==="
+# perfbench/ (BENCHMARK.json) builds its own copy of the simulator from src/
+# and calls into it directly (Network::recompute_routes, Brokerd,
+# ScaleTrafficConfig::fluid_threads, ...), so a src/ API change that breaks
+# it must fail here, not first in a benchmark run. Each run also checks the
+# workload's outputs and same-seed determinism; nonzero exit on any failure.
+for workload in attach_storm broker_ingest fluid_population drive_packet; do
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 0 >/dev/null || {
+    echo "perfbench FAILED — rerun: python3 perfbench/run.py --workload $workload --seed 1 --seconds 2 --trace 0"
+    exit 1
+  }
+done
+echo "perfbench ok"
+
 echo "=== fuzz smoke (96-seed corpus + protocol-pinned sweeps, shrink-on-fail) ==="
 # Full 96 seeds on the release binary (the corpus grew with the attach-
 # protocol axis: ~20% of sampled scenarios are EPC baselines, ~40% of the
@@ -167,7 +182,7 @@ sap = json.load(open("BENCH_sap.json"))
 scale = json.load(open("BENCH_scale.json"))
 for doc, keys in ((sap, ("bench", "mode", "baseline", "current", "speedup", "attach")),
                   (scale, ("bench", "mode", "baseline", "current", "speedup",
-                           "instrumentation", "points", "scale_curve",
+                           "instrumentation", "points", "storm_scaling", "scale_curve",
                            "agreement", "thread_agreement", "mttho", "metrics",
                            "broker_shards"))):
     missing = [k for k in keys if k not in doc]
@@ -192,6 +207,16 @@ for proto in ("sap", "sap_resume"):
 assert all(k in scale["points"][0] for k in ("n_ues", "arch", "loss", "mean_ms",
                                              "p99_ms", "completed", "wall_s",
                                              "sim_s", "sim_per_wall"))
+
+# Storm-scaling gate (EXPERIMENTS.md): two CB storms, linear wall/UE.
+ss = scale["storm_scaling"]
+for k in ("bound", "ratio", "pass", "points"):
+    assert k in ss, f"storm_scaling: missing key {k}"
+assert ss["pass"] and ss["ratio"] <= ss["bound"], f"storm-scaling gate failed: {ss}"
+assert len(ss["points"]) == 2 and ss["points"][0]["n_ues"] < ss["points"][1]["n_ues"]
+for p in ss["points"]:
+    assert p["completed"] == p["n_ues"], f"incomplete storm-scaling point: {p}"
+    assert all(k in p for k in ("mean_ms", "p99_ms", "wall_s", "wall_per_ue_ms"))
 
 # Fluid scale curve + agreement gate (DESIGN.md §11): every point complete,
 # wall/sim/RSS reported, and the two fidelity modes in agreement.
