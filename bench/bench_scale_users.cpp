@@ -25,20 +25,23 @@
 // and peak-RSS delta are attributable to that point alone.
 //
 // Usage: bench_scale_users [--smoke] [--fluid] [--fluid-threads N]
-//                          [--json FILE] [--no-metrics]
+//                          [--json FILE] [--no-metrics] [--overhead]
 //   --smoke          small point set (CI schema check, not a measurement)
 //   --fluid          add the fluid scale curve + the agreement gates
 //   --fluid-threads  worker threads for the fluid engine's reallocation
 //                    drain on the curve points (default 1; any value is
 //                    bit-identical — the 1-vs-4 gate below proves it)
 //   --json           also write machine-readable results + wall-clock to FILE
-//   --no-metrics     run with observability disabled (instrumentation-
-//                    overhead baseline for tools/bench.sh)
+//   --no-metrics     run with observability disabled
+//   --overhead       run only the instrumentation-overhead probe: the full
+//                    sweep in 10 alternating pairs with and without metrics
+//                    (tools/bench.sh guards the median of 5 runs at 5%)
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <mutex>
 #include <set>
 #include <string>
@@ -160,6 +163,102 @@ class ThreadUse {
   std::set<std::thread::id> ids_;
 };
 
+/// The storm sweep: MNO and CellBricks storms at each size, then CellBricks
+/// storms over a lossy control path.
+struct Sweep {
+  std::vector<StormPoint> points;
+  std::vector<StormPoint> loss_points;
+  int loss_ues = 0;
+};
+
+Sweep make_sweep(bool smoke) {
+  Sweep s;
+  for (int n : smoke ? std::vector<int>{1, 10} : std::vector<int>{1, 10, 50, 100, 200}) {
+    for (Architecture arch : {Architecture::Mno, Architecture::CellBricks}) {
+      s.points.push_back({n, arch, 0.0, {}});
+    }
+  }
+  s.loss_ues = smoke ? 10 : 50;
+  for (double loss : smoke ? std::vector<double>{0.0, 0.05}
+                           : std::vector<double>{0.0, 0.01, 0.05, 0.10}) {
+    s.loss_points.push_back({s.loss_ues, Architecture::CellBricks, loss, {}});
+  }
+  return s;
+}
+
+/// Runs every sweep point on the pool, each timed on its own.
+void run_sweep(TrialRunner& runner, Sweep& s, ThreadUse& threads_used) {
+  auto timed_storm = [&](const StormPoint& p) {
+    threads_used.note();
+    const double t0 = now_s();
+    StormPoint out = p;
+    out.result = run_attach_storm(p.arch, p.n_ues, Duration::millis(7.2), p.loss);
+    out.wall_s = now_s() - t0;
+    return out;
+  };
+  s.points = runner.map(s.points.size(), [&](std::size_t i) { return timed_storm(s.points[i]); });
+  s.loss_points =
+      runner.map(s.loss_points.size(), [&](std::size_t i) { return timed_storm(s.loss_points[i]); });
+}
+
+/// CPU seconds used so far by this process. Unlike wall time it does not
+/// count time the host gives to other tenants.
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// Instrumentation-overhead probe (--overhead): the full sweep (MNO and
+/// CellBricks storms, lossy CellBricks points, one metrics registry per trial
+/// merged at the end) run kOverheadPairs times with a root registry and as
+/// many times without, alternating which side of a pair runs first, each
+/// timed in process CPU seconds; the overhead is the ratio of the two totals
+/// (~25 s of CPU per side). A sweep's CPU time varies ~5% run to run on a
+/// shared host even back to back, and a process can also favour one side
+/// throughout (one read +5.7% over 20 pairs, the next -2.4%), so
+/// tools/bench.sh guards the median over several processes.
+constexpr int kOverheadPairs = 10;
+
+int run_overhead_probe(const std::string& json_path) {
+  TrialRunner runner;
+  ThreadUse threads_used;
+  double on_total = 0.0, off_total = 0.0;
+  auto timed = [&](bool metrics_on) {
+    obs::Registry reg;
+    obs::ScopedRegistry scoped(metrics_on ? &reg : nullptr);
+    Sweep sweep = make_sweep(/*smoke=*/false);
+    const double t0 = process_cpu_s();
+    run_sweep(runner, sweep, threads_used);
+    return process_cpu_s() - t0;
+  };
+  for (int i = 0; i < kOverheadPairs; ++i) {
+    if (i % 2 == 0) {
+      on_total += timed(true);
+      off_total += timed(false);
+    } else {
+      off_total += timed(false);
+      on_total += timed(true);
+    }
+  }
+  const double overhead_pct = (on_total / off_total - 1.0) * 100.0;
+  std::printf("instrumentation overhead: %.2f%% (%d pairs; %.2f s vs %.2f s CPU)\n",
+              overhead_pct, kOverheadPairs, on_total, off_total);
+  if (!json_path.empty()) {
+    FILE* f = std::fopen(json_path.c_str(), "w");
+    if (!f) {
+      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+      return 1;
+    }
+    std::fprintf(f,
+                 "{\"bench\": \"scale_users_overhead\", \"pairs\": %d, \"enabled_cpu_s\": %.3f, "
+                 "\"disabled_cpu_s\": %.3f, \"overhead_pct\": %.3f}\n",
+                 kOverheadPairs, on_total, off_total, overhead_pct);
+    std::fclose(f);
+  }
+  return 0;
+}
+
 ScaleTrafficConfig curve_config(int n_ues, int fluid_threads = 1) {
   ScaleTrafficConfig cfg;
   cfg.mode = TrafficMode::Fluid;
@@ -254,6 +353,7 @@ int main(int argc, char** argv) {
   bool fluid_axis = false;
   bool metrics_enabled = true;
   int fluid_threads = 1;
+  bool overhead = false;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
@@ -262,7 +362,9 @@ int main(int argc, char** argv) {
       fluid_threads = std::max(std::atoi(argv[++i]), 1);
     else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) json_path = argv[++i];
     else if (std::strcmp(argv[i], "--no-metrics") == 0) metrics_enabled = false;
+    else if (std::strcmp(argv[i], "--overhead") == 0) overhead = true;
   }
+  if (overhead) return run_overhead_probe(json_path);
 
   // Root registry for the whole bench: TrialRunner gives each sweep point a
   // private per-trial registry and merges them back here in index order, so
@@ -271,11 +373,6 @@ int main(int argc, char** argv) {
   obs::Registry metrics;
   obs::ScopedRegistry scoped(metrics_enabled ? &metrics : nullptr);
 
-  const std::vector<int> storm_sizes = smoke ? std::vector<int>{1, 10}
-                                             : std::vector<int>{1, 10, 50, 100, 200};
-  const std::vector<double> losses = smoke ? std::vector<double>{0.0, 0.05}
-                                           : std::vector<double>{0.0, 0.01, 0.05, 0.10};
-  const int loss_ues = smoke ? 10 : 50;
   // The full curve ends at 1M UEs — the ROADMAP scale target. Release-only
   // in CI (scale ctest label covers the test-suite variant); the smoke set
   // stays small enough for the sanitizer legs.
@@ -283,36 +380,11 @@ int main(int argc, char** argv) {
       smoke ? std::vector<int>{1000, 10000}
             : std::vector<int>{1000, 10000, 100000, 1000000};
 
-  std::vector<StormPoint> points;
-  for (int n : storm_sizes) {
-    for (Architecture arch : {Architecture::Mno, Architecture::CellBricks}) {
-      points.push_back({n, arch, 0.0, {}});
-    }
-  }
-  std::vector<StormPoint> loss_points;
-  for (double loss : losses) {
-    loss_points.push_back({loss_ues, Architecture::CellBricks, loss, {}});
-  }
-
+  Sweep sweep = make_sweep(smoke);
   ThreadUse threads_used;
   const auto wall_start = std::chrono::steady_clock::now();
   TrialRunner runner;
-  {
-    auto timed_storm = [&](const StormPoint& p) {
-      threads_used.note();
-      const double t0 = now_s();
-      StormPoint out = p;
-      out.result = run_attach_storm(p.arch, p.n_ues, Duration::millis(7.2), p.loss);
-      out.wall_s = now_s() - t0;
-      return out;
-    };
-    auto storm = runner.map(points.size(), [&](std::size_t i) { return timed_storm(points[i]); });
-    for (std::size_t i = 0; i < points.size(); ++i) points[i] = storm[i];
-
-    auto swept =
-        runner.map(loss_points.size(), [&](std::size_t i) { return timed_storm(loss_points[i]); });
-    for (std::size_t i = 0; i < loss_points.size(); ++i) loss_points[i] = swept[i];
-  }
+  run_sweep(runner, sweep, threads_used);
 
   // The storm wall-clock is the number tracked against the frozen pre-PR3
   // baseline in BENCH_scale.json — keep it storm-only so the speedup stays
@@ -353,7 +425,7 @@ int main(int argc, char** argv) {
               "us-west RTT) ===\n\n");
   std::printf("%6s %-4s %12s %12s %10s\n", "N UEs", "arch", "mean(ms)", "p99(ms)",
               "completed");
-  for (const StormPoint& p : points) {
+  for (const StormPoint& p : sweep.points) {
     std::printf("%6d %-4s %12.2f %12.2f %6d/%d\n", p.n_ues, arch_name(p.arch),
                 p.result.mean_ms, p.result.p99_ms, p.result.completed, p.n_ues);
   }
@@ -361,9 +433,9 @@ int main(int argc, char** argv) {
               " CB queues once at brokerd, BL queues twice at the HSS.)\n");
 
   std::printf("\n=== Degraded control path: %d UEs, loss on the tower<->cloud link "
-              "(CellBricks, SAP retransmission active) ===\n\n", loss_ues);
+              "(CellBricks, SAP retransmission active) ===\n\n", sweep.loss_ues);
   std::printf("%8s %12s %12s %10s\n", "loss", "mean(ms)", "p99(ms)", "completed");
-  for (const StormPoint& p : loss_points) {
+  for (const StormPoint& p : sweep.loss_points) {
     std::printf("%7.0f%% %12.2f %12.2f %7d/%d\n", p.loss * 100, p.result.mean_ms,
                 p.result.p99_ms, p.result.completed, p.n_ues);
   }
@@ -446,8 +518,8 @@ int main(int argc, char** argv) {
                    p.result.sim_s, p.result.sim_s / std::max(p.wall_s, 1e-9));
       first = false;
     };
-    for (const StormPoint& p : points) emit(p);
-    for (const StormPoint& p : loss_points) emit(p);
+    for (const StormPoint& p : sweep.points) emit(p);
+    for (const StormPoint& p : sweep.loss_points) emit(p);
     std::fprintf(f, "\n  ],\n  \"storm_scaling\": {\"bound\": %.1f, \"ratio\": %.3f, "
                  "\"pass\": %s, \"points\": [\n",
                  StormScaling::kBound, storm_scaling.ratio,

@@ -6,17 +6,21 @@
 // scheduling order (a monotonic sequence number breaks ties), so runs are
 // deterministic for a fixed seed.
 //
-// Storage layout: callables live in a slab-allocated pool of fixed-size
-// slots (small-buffer optimized, see inplace_fn.hpp) and the priority queue
-// holds only {time, seq, slot, generation} records. Cancellation bumps the
-// slot's generation counter and destroys the callable eagerly — a cancelled
-// closure releases everything it captured immediately, not when its
-// timestamp would have popped.
+// Storage layout: callables live in pool slots (small-buffer optimized, see
+// inplace_fn.hpp) allocated in fixed-size chunks, so a slot never moves.
+// The queue is an indexed 4-ary min-heap of {time, seq, slot} entries keyed
+// on (time, seq); every queued slot records its heap position. Cancellation
+// erases the entry from the heap in O(log n) and destroys the callable
+// eagerly — a cancelled closure releases everything it captured at once,
+// and the heap only ever holds pending events (nothing is popped to be
+// skipped). A due event's closure runs inside its slot, which is freed after
+// the call returns (also when it throws). (time, seq) is unique, so the pop
+// order does not depend on the heap's shape.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <queue>
 #include <stdexcept>
 #include <vector>
 
@@ -30,17 +34,31 @@ class Simulator;
 
 namespace detail {
 
-/// Slab of event slots. Shared (via shared_ptr) between the simulator and
+/// Event storage, shared (via shared_ptr) between the simulator and
 /// outstanding EventHandles so a handle can still answer pending()/cancel()
 /// safely after the simulator is destroyed.
 struct EventPool {
+  static constexpr std::uint32_t kChunkShift = 9;  // 512 slots per chunk
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+  static constexpr std::size_t kArity = 4;
+
   struct Slot {
-    std::uint64_t gen = 0;  // bumped on fire/cancel; handles compare against it
+    std::uint64_t gen = 0;       // bumped on fire/cancel; handles compare against it
+    std::uint32_t heap_pos = 0;  // index of this slot's entry while pending
     InplaceFn fn;
   };
+  struct Entry {
+    TimePoint at;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
 
-  std::vector<Slot> slots;
+  std::vector<std::unique_ptr<Slot[]>> chunks;  // never move once allocated
+  std::uint32_t n_slots = 0;
   std::vector<std::uint32_t> free_list;
+  std::vector<Entry> heap;  // exactly the pending events
+
+  Slot& slot(std::uint32_t idx) { return chunks[idx >> kChunkShift][idx & (kChunkSize - 1)]; }
 
   std::uint32_t acquire(InplaceFn fn) {
     std::uint32_t idx;
@@ -48,17 +66,37 @@ struct EventPool {
       idx = free_list.back();
       free_list.pop_back();
     } else {
-      idx = static_cast<std::uint32_t>(slots.size());
-      slots.emplace_back();
+      if ((n_slots & (kChunkSize - 1)) == 0) chunks.push_back(std::make_unique<Slot[]>(kChunkSize));
+      idx = n_slots++;
     }
-    slots[idx].fn = std::move(fn);
+    slot(idx).fn = std::move(fn);
     return idx;
   }
 
+  /// Destroy the slot's closure, then make the slot reusable.
   void release(std::uint32_t idx) {
-    slots[idx].fn.reset();
+    slot(idx).fn.reset();
     free_list.push_back(idx);
   }
+
+  void push(const Entry& e) {
+    heap.emplace_back();
+    sift_up(heap.size() - 1, e);
+  }
+
+  /// Remove the entry at heap position `pos` (0 pops the earliest).
+  void erase(std::size_t pos);
+
+ private:
+  static bool before(const Entry& a, const Entry& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
+  void place(std::size_t pos, const Entry& e) {
+    heap[pos] = e;
+    slot(e.slot).heap_pos = static_cast<std::uint32_t>(pos);
+  }
+  void sift_up(std::size_t pos, const Entry& e);
+  void sift_down(std::size_t pos, const Entry& e);
 };
 
 }  // namespace detail
@@ -130,9 +168,8 @@ class Simulator {
   EventHandle schedule_at(TimePoint at, F&& fn) {
     if (at < now_) throw std::invalid_argument("schedule_at: time in the past");
     const std::uint32_t slot = pool_->acquire(InplaceFn(std::forward<F>(fn)));
-    const std::uint64_t gen = pool_->slots[slot].gen;
-    queue_.push(Event{at, next_seq_++, slot, gen});
-    return EventHandle{pool_, slot, gen};
+    pool_->push({at, next_seq_++, slot});
+    return EventHandle{pool_, slot, pool_->slot(slot).gen};
   }
 
   /// Process events until the queue is empty.
@@ -145,6 +182,8 @@ class Simulator {
 
   /// Number of events executed so far (for tests/debug).
   std::uint64_t events_executed() const { return executed_; }
+  /// Number of events in the queue — always exactly the pending ones.
+  std::size_t events_queued() const { return pool_->heap.size(); }
 
   /// Install (or remove, with nullptr) the engine-health probe. The caller
   /// keeps ownership; the probe must outlive the simulator or be removed
@@ -159,27 +198,13 @@ class Simulator {
   }
 
  private:
-  struct Event {
-    TimePoint at;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint64_t gen;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
-  // Execute one event (skipping cancelled ones); false if nothing ran.
-  // With a deadline, events after it stay queued and false is returned.
+  // Execute the earliest event; false if the queue is empty. With a
+  // deadline, events after it stay queued and false is returned.
   bool step(const TimePoint* deadline);
 
   TimePoint now_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
   std::shared_ptr<detail::EventPool> pool_;
   Rng rng_;
 #ifndef CB_CHECK_COMPILED_OUT

@@ -259,31 +259,38 @@ void FluidEngine::flush() {
 
 // --- accrual ----------------------------------------------------------------
 
-void FluidEngine::accrue_cell(Cell& c, CellOutcome& out) {
+double FluidEngine::take_accrual_window(Cell& c) {
   const TimePoint now = sim_.now();
   const double dt_s = (now - c.last_accrual).to_seconds();
   c.last_accrual = now;
-  if (dt_s <= 0.0) return;
-  for (SessionId id : c.flows) {
-    if (arena_.mode(id) != FlowMode::Fluid) continue;  // ghosts progress via packets
-    const double offered = arena_.rate_bps(id) * dt_s / 8.0;
-    if (offered <= 0.0) continue;
-    const double residual = arena_.residual_bytes(id);
-    if (residual < 0.0) ++out.negative_residuals;
-    const double add = std::min(offered, std::max(residual, 0.0));
-    arena_.delivered_bytes(id) += add;
-    out.segment_bytes += add;
-    out.clamped_bytes += offered - add;
-  }
+  return dt_s;
 }
 
-void FluidEngine::accrue_now(Cell& c) {
-  CellOutcome out;
-  out.reset();
-  accrue_cell(c, out);
+void FluidEngine::accrue_flow(SessionId id, double dt_s, CellOutcome& out) {
+  if (arena_.mode(id) != FlowMode::Fluid) return;  // ghosts progress via packets
+  const double offered = arena_.rate_bps(id) * dt_s / 8.0;
+  if (offered <= 0.0) return;
+  const double residual = arena_.residual_bytes(id);
+  if (residual < 0.0) ++out.negative_residuals;
+  const double add = std::min(offered, std::max(residual, 0.0));
+  arena_.delivered_bytes(id) += add;
+  out.segment_bytes += add;
+  out.clamped_bytes += offered - add;
+}
+
+void FluidEngine::fold_ledger(const CellOutcome& out) {
   segment_bytes_ += out.segment_bytes;
   clamped_bytes_ += out.clamped_bytes;
   negative_residuals_ += out.negative_residuals;
+}
+
+void FluidEngine::accrue_now(Cell& c) {
+  const double dt_s = take_accrual_window(c);
+  if (dt_s <= 0.0) return;
+  CellOutcome out;
+  out.reset();
+  for (SessionId id : c.flows) accrue_flow(id, dt_s, out);
+  fold_ledger(out);
 }
 
 // --- water-filling ----------------------------------------------------------
@@ -294,8 +301,6 @@ double FluidEngine::order_key(SessionId id) const {
 }
 
 void FluidEngine::fill_cell(Cell& c, CellOutcome& out) {
-  accrue_cell(c, out);
-
   // Weighted max-min fairness with per-flow caps, one water-filling pass
   // over the persistently maintained (cap/weight, id) order: a flow whose
   // cap is below the running fair level keeps its cap, everyone after
@@ -304,10 +309,25 @@ void FluidEngine::fill_cell(Cell& c, CellOutcome& out) {
   // aggregate — so the fill arithmetic is bit-identical to a from-scratch
   // water-fill of the same members (the churn-equivalence property test
   // holds to the last ulp).
-  double remaining = c.capacity_bps;
+  //
+  // Two passes over the members. The id-ordered pass banks rate × elapsed
+  // at the old rates and sums the weights; the fill-order pass sets the new
+  // rates and tracks the earliest completion. Each accumulator sees its
+  // operands in the same order as separate accrue / sum / fill / scan
+  // passes would, so the results are bit-identical to those.
+  const double dt_s = take_accrual_window(c);
+  const bool bank = dt_s > 0.0;
   double weight_left = 0.0;
-  for (SessionId id : c.flows) weight_left += arena_.weight(id);
+  for (SessionId id : c.flows) {
+    if (bank) accrue_flow(id, dt_s, out);
+    weight_left += arena_.weight(id);
+  }
 
+  double remaining = c.capacity_bps;
+  // Next rate-change point this cell generates on its own: the earliest
+  // fluid completion at the new rates. min is exact, so visit order does
+  // not matter.
+  double min_dt_s = kInf;
   for (SessionId id : c.order) {
     const double w = arena_.weight(id);
     double rate = 0.0;
@@ -318,35 +338,27 @@ void FluidEngine::fill_cell(Cell& c, CellOutcome& out) {
     }
     remaining -= rate;
     weight_left -= w;
-    if (arena_.mode(id) == FlowMode::Packet) {
+    const FlowMode mode = arena_.mode(id);
+    if (mode == FlowMode::Packet) {
       // Ghost: record the share for the packet lane when it moves. The
       // callback itself runs at commit time on the main thread.
       if (rate != arena_.rate_bps(id)) {
         arena_.rate_bps(id) = rate;
         out.ghost_changes.emplace_back(id, rate);
       }
-    } else {
-      arena_.rate_bps(id) = rate;
+      continue;
     }
-  }
-
-  // Next rate-change point this cell generates on its own: the earliest
-  // fluid completion at the just-computed rates.
-  double min_dt_s = kInf;
-  for (SessionId id : c.flows) {
-    if (arena_.mode(id) != FlowMode::Fluid) continue;
-    const double rate = arena_.rate_bps(id);
-    if (rate <= 0.0) continue;
-    const double dt = arena_.residual_bytes(id) * 8.0 / rate;
-    min_dt_s = std::min(min_dt_s, std::max(dt, 0.0));
+    arena_.rate_bps(id) = rate;
+    if (mode == FlowMode::Fluid && rate > 0.0) {
+      const double dt = arena_.residual_bytes(id) * 8.0 / rate;
+      min_dt_s = std::min(min_dt_s, std::max(dt, 0.0));
+    }
   }
   out.min_completion_s = min_dt_s;
 }
 
 void FluidEngine::commit_outcome(std::uint32_t cell_id, CellOutcome& out) {
-  segment_bytes_ += out.segment_bytes;
-  clamped_bytes_ += out.clamped_bytes;
-  negative_residuals_ += out.negative_residuals;
+  fold_ledger(out);
   ++rate_events_;
 
   Cell& c = cells_[cell_id];
@@ -462,9 +474,7 @@ void FluidEngine::drain() {
       // that event and replay stale shares — keep only its ledger deltas,
       // which the inline fill cannot have banked (no sim time passed since
       // our fill, so its accrual window was empty).
-      segment_bytes_ += out.segment_bytes;
-      clamped_bytes_ += out.clamped_bytes;
-      negative_residuals_ += out.negative_residuals;
+      fold_ledger(out);
       if (on_rate_share) {
         // The inline fill records ghost changes against the arena values OUR
         // fill wrote — which the consumer never heard — so a share this
@@ -487,17 +497,23 @@ void FluidEngine::drain() {
 
 void FluidEngine::fire(std::uint32_t cell_id) {
   Cell& c = cells_[cell_id];
-  accrue_now(c);
 
-  // Complete every fluid flow that reached its demand (ties complete
-  // together, in SessionId order — the member list is sorted). The scratch
-  // buffer is engine-level: fire() runs hundreds of thousands of times in a
-  // 1M-UE run and must not heap-allocate per completion.
+  // One pass in SessionId order: bank each fluid flow's bytes, then check
+  // whether it reached its demand (ties complete together, in SessionId
+  // order — the member list is sorted). The scratch buffer is engine-level:
+  // fire() runs hundreds of thousands of times in a 1M-UE run and must not
+  // heap-allocate per completion.
+  const double dt_s = take_accrual_window(c);
+  const bool bank = dt_s > 0.0;
+  CellOutcome accrued;
+  accrued.reset();
   scratch_done_.clear();
   for (SessionId id : c.flows) {
     if (arena_.mode(id) != FlowMode::Fluid) continue;
+    if (bank) accrue_flow(id, dt_s, accrued);
     if (arena_.residual_bytes(id) <= kCompleteEpsBytes) scratch_done_.push_back(id);
   }
+  fold_ledger(accrued);
   for (SessionId id : scratch_done_) {
     // The sub-epsilon remainder is the final segment, delivered now.
     segment_bytes_ += arena_.residual_bytes(id);

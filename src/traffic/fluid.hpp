@@ -190,13 +190,19 @@ class FluidEngine {
 
   class FillPool;
 
-  /// Bank rate × (now - last_accrual) into every fluid flow of the cell,
+  /// Close the cell's accrual window at now; returns its length (seconds).
+  double take_accrual_window(Cell& c);
+  /// Bank rate × dt_s into one flow if it is fluid, clamped at its demand,
   /// accumulating ledger deltas into `out` (thread-safe per cell).
-  void accrue_cell(Cell& c, CellOutcome& out);
-  /// Main-thread accrual that folds the deltas straight into the ledger.
+  void accrue_flow(SessionId id, double dt_s, CellOutcome& out);
+  /// Add an outcome's ledger deltas to the engine totals (main thread).
+  void fold_ledger(const CellOutcome& out);
+  /// Bank rate × (now - last_accrual) into every fluid flow of the cell,
+  /// folding the deltas straight into the ledger (main thread).
   void accrue_now(Cell& c);
-  /// accrue + one linear water-filling pass over the persistent order.
-  /// Worker-safe: writes only this cell's arena rows and `out`.
+  /// Accrue + water-fill in two passes over the members (id order, then the
+  /// persistent fill order). Worker-safe: writes only this cell's arena rows
+  /// and `out`.
   void fill_cell(Cell& c, CellOutcome& out);
   /// Fold a fill's outcome into the ledger, reschedule the cell's
   /// completion event, and replay its ghost-share callbacks. Main thread

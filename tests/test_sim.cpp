@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -167,6 +169,83 @@ TEST(Simulator, SlotReuseDoesNotConfuseStaleHandles) {
   sim.run();
   EXPECT_EQ(ran, 2);
   EXPECT_TRUE(second.pending() == false);
+}
+
+/// Records the address its call runs at: events run inside their pool slot,
+/// so this identifies the slot.
+struct AddressProbe {
+  const void** at;
+  bool throws;
+  void operator()() {
+    *at = this;
+    if (throws) throw std::runtime_error("event failed");
+  }
+};
+
+TEST(Simulator, ThrowingEventReleasesClosure) {
+  // A callback that throws out of run() must still have its closure
+  // destroyed and its slot returned for reuse; later events run in order.
+  Simulator sim;
+  auto captured = std::make_shared<int>(7);
+  std::weak_ptr<int> watch = captured;
+  const void* thrower_at = nullptr;
+  const void* reuser_at = nullptr;
+  std::vector<int> order;
+  EventHandle thrower = sim.schedule(Duration::ms(1), [probe = AddressProbe{&thrower_at, true},
+                                                       captured]() mutable { probe(); });
+  captured.reset();
+  sim.schedule(Duration::ms(1), [&] { order.push_back(1); });
+  sim.schedule(Duration::ms(2), [&] { order.push_back(2); });
+
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_TRUE(watch.expired());  // the closure died with the exception
+  EXPECT_FALSE(thrower.pending());
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_EQ(sim.events_queued(), 2u);
+
+  // The freed slot is the next one handed out, and the engine resumes.
+  sim.schedule(Duration::ms(1), AddressProbe{&reuser_at, false});
+  sim.run();
+  EXPECT_EQ(reuser_at, thrower_at);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.now().nanos(), Duration::ms(2).nanos());
+  EXPECT_EQ(sim.events_executed(), 4u);
+  EXPECT_EQ(sim.events_queued(), 0u);
+}
+
+TEST(Simulator, CallbackGrowingPoolRunsInPlace) {
+  // A running callback schedules enough events to allocate several new
+  // slot chunks, then keeps using its own captures (a relocated closure
+  // would be read after free under ASan) and cancels events scattered
+  // through the heap. The survivors fire in (time, seq) order.
+  constexpr int kSpawn = 3000;
+  Simulator sim;
+  std::vector<EventHandle> handles;
+  std::vector<int> fired;
+  std::string payload(64, 'x');
+  sim.schedule(Duration::ms(1), [&sim, &handles, &fired, payload] {
+    for (int i = 0; i < kSpawn; ++i) {
+      // Later schedules get earlier times, so each one sifts up the heap.
+      handles.push_back(sim.schedule(Duration::us(kSpawn - i % 1000), [&fired, i] {
+        fired.push_back(i);
+      }));
+    }
+    EXPECT_EQ(payload, std::string(64, 'x'));
+    for (int i = 0; i < kSpawn; i += 3) handles[static_cast<std::size_t>(i)].cancel();
+    EXPECT_EQ(sim.events_queued(), static_cast<std::size_t>(kSpawn - kSpawn / 3));
+    EXPECT_EQ(payload, std::string(64, 'x'));
+  });
+  sim.run();
+
+  std::vector<int> want;
+  for (int t = 0; t < 1000; ++t) {  // ascending time = descending i % 1000
+    for (int i = 999 - t; i < kSpawn; i += 1000) {
+      if (i % 3 != 0) want.push_back(i);
+    }
+  }
+  EXPECT_EQ(fired, want);
+  EXPECT_EQ(sim.events_queued(), 0u);
+  for (const EventHandle& h : handles) EXPECT_FALSE(h.pending());
 }
 
 }  // namespace
