@@ -86,6 +86,19 @@ void BM_RsaVerify1024(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaVerify1024);
 
+// One modular exponentiation with a full-width exponent at 256-, 512- and
+// 1024-bit odd moduli: the CRT halves of 512- and 1024-bit RSA keys and the
+// 1024-bit public modulus. Times the Montgomery kernels alone.
+void BM_MontgomeryPow(benchmark::State& state) {
+  const auto bits = static_cast<std::size_t>(state.range(0));
+  Rng rng(10 + bits);
+  const Montgomery mont(BigNum::random_odd(rng, bits));
+  const BigNum base = BigNum::random_below(rng, mont.modulus());
+  const BigNum exponent = BigNum::random_odd(rng, bits);
+  for (auto _ : state) benchmark::DoNotOptimize(mont.pow(base, exponent));
+}
+BENCHMARK(BM_MontgomeryPow)->Arg(256)->Arg(512)->Arg(1024);
+
 void BM_SealedBox_256B(benchmark::State& state) {
   Fixture& f = fixture();
   Rng rng(4);

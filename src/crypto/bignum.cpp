@@ -283,18 +283,188 @@ BigNum BigNum::powmod_reference(const BigNum& exponent, const BigNum& m) const {
   return result;
 }
 
-Montgomery::Limbs Montgomery::to_limbs(const BigNum& v, std::size_t s) {
-  Limbs out(s, 0);
+namespace {
+
+using u64 = std::uint64_t;
+using u128 = unsigned __int128;
+
+// Widest modulus, in 64-bit limbs, whose Montgomery buffers live on the
+// stack (2048 bits); wider moduli fall back to the heap.
+constexpr std::size_t kStackLimbs = 32;
+
+// pow_mont's workspace for an s-limb modulus: accumulator, one limb vector
+// left to the caller, and the 15-entry window table.
+constexpr std::size_t workspace_limbs(std::size_t s) { return 17 * s; }
+
+// Zeroed limb buffer: on the stack up to N limbs, on the heap beyond.
+template <std::size_t N>
+class LimbBuffer {
+ public:
+  explicit LimbBuffer(std::size_t size) {
+    if (size > N) {
+      heap_.resize(size);
+      data_ = heap_.data();
+    } else {
+      std::fill(stack_, stack_ + size, 0u);
+    }
+  }
+  LimbBuffer(const LimbBuffer&) = delete;
+  LimbBuffer& operator=(const LimbBuffer&) = delete;
+
+  u64* data() { return data_; }
+
+ private:
+  u64 stack_[N];
+  std::vector<u64> heap_;
+  u64* data_ = stack_;
+};
+
+// out = a - b over s limbs; returns the borrow out of the top limb.
+u64 sub_limbs(const u64* a, const u64* b, std::size_t s, u64* out) {
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < s; ++i) {
+    const u64 d = a[i] - b[i];
+    const u64 r = d - borrow;
+    borrow = static_cast<u64>(a[i] < b[i]) | static_cast<u64>(d < borrow);
+    out[i] = r;
+  }
+  return borrow;
+}
+
+// out = t mod n for t = t[0, s] (t[s] the carry limb) below 2n: one
+// conditional subtraction.
+void final_subtract(const u64* t, const u64* n, std::size_t s, u64* out) {
+  const u64 borrow = sub_limbs(t, n, s, out);
+  if (borrow > t[s]) std::copy(t, t + s, out);  // t < n
+}
+
+// The kernels below take the width S as a template argument; S == 0 reads
+// it from `s_rt` instead. `t` is scratch the caller provides: s + 2 limbs
+// for the multiply, 2s + 1 for the square.
+
+// out = a * b * R^-1 mod n by CIOS (coarsely integrated operand scanning):
+// the multiply by b[i] alternates with one reduction step, keeping the
+// accumulator at s+2 limbs. All terms fit in 128 bits:
+// (2^64-1)^2 + 2*(2^64-1) = 2^128-1.
+template <std::size_t S>
+void cios_mul(const u64* a, const u64* b, const u64* n, u64 n0inv, std::size_t s_rt, u64* t,
+              u64* out) {
+  const std::size_t s = S ? S : s_rt;
+  std::fill(t, t + s + 2, 0u);
+  for (std::size_t i = 0; i < s; ++i) {
+    const u64 bi = b[i];
+    u64 carry = 0;
+    for (std::size_t j = 0; j < s; ++j) {
+      const u128 cur = static_cast<u128>(a[j]) * bi + t[j] + carry;
+      t[j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
+    }
+    u128 cur = static_cast<u128>(t[s]) + carry;
+    t[s] = static_cast<u64>(cur);
+    t[s + 1] = static_cast<u64>(cur >> 64);
+
+    const u64 m = t[0] * n0inv;  // t + m*n is divisible by 2^64
+    carry = static_cast<u64>((static_cast<u128>(m) * n[0] + t[0]) >> 64);
+    for (std::size_t j = 1; j < s; ++j) {
+      const u128 c2 = static_cast<u128>(m) * n[j] + t[j] + carry;
+      t[j - 1] = static_cast<u64>(c2);
+      carry = static_cast<u64>(c2 >> 64);
+    }
+    cur = static_cast<u128>(t[s]) + carry;
+    t[s - 1] = static_cast<u64>(cur);
+    t[s] = t[s + 1] + static_cast<u64>(cur >> 64);
+  }
+  final_subtract(t, n, s, out);  // t < 2n
+}
+
+// Three-limb accumulator for one column of a product-scanning kernel.
+struct Column {
+  u64 lo = 0, hi = 0, top = 0;
+
+  void add(u128 v) {
+    const u128 sum = ((static_cast<u128>(hi) << 64) | lo) + v;
+    top += static_cast<u64>(sum < v);
+    lo = static_cast<u64>(sum);
+    hi = static_cast<u64>(sum >> 64);
+  }
+  void add(u64 x, u64 y) { add(static_cast<u128>(x) * y); }
+  void add(const Column& c) {
+    add((static_cast<u128>(c.hi) << 64) | c.lo);
+    top += c.top;
+  }
+  void double_value() {
+    top = (top << 1) | (hi >> 63);
+    hi = (hi << 1) | (lo >> 63);
+    lo <<= 1;
+  }
+  void next_column() {  // drop the finished low limb
+    lo = hi;
+    hi = top;
+    top = 0;
+  }
+};
+
+// out = a * a * R^-1 mod n by product scanning: column k of the square sums
+// each cross product a[i]a[k-i] (i < k-i) once, doubles it and adds the
+// diagonal square; the reduction products m[j]n[k-j] join the same column,
+// so the 2s-limb square is never stored. About 3s^2/2 limb products against
+// the 2s^2 of cios_mul. At fixed widths the loops unroll fully, which keeps
+// the column sums in registers.
+template <std::size_t S>
+void fips_sqr(const u64* a, const u64* n, u64 n0inv, std::size_t s_rt, u64* t, u64* out) {
+  const std::size_t s = S ? S : s_rt;
+  u64* m = t + s + 1;  // the reduction multipliers, one per low column
+  Column acc;
+#pragma GCC unroll 32
+  for (std::size_t k = 0; k + 1 < 2 * s; ++k) {
+    Column col;
+#pragma GCC unroll 16
+    for (std::size_t i = k < s ? 0 : k - s + 1; i < k - i; ++i) col.add(a[i], a[k - i]);
+    col.double_value();
+    if (k % 2 == 0) col.add(a[k / 2], a[k / 2]);
+    acc.add(col);
+    if (k < s) {
+#pragma GCC unroll 16
+      for (std::size_t j = 0; j < k; ++j) acc.add(m[j], n[k - j]);
+      m[k] = acc.lo * n0inv;
+      acc.add(m[k], n[0]);  // clears the low limb
+    } else {
+#pragma GCC unroll 16
+      for (std::size_t j = k - s + 1; j < s; ++j) acc.add(m[j], n[k - j]);
+      t[k - s] = acc.lo;
+    }
+    acc.next_column();
+  }
+  t[s - 1] = acc.lo;
+  t[s] = acc.hi;
+  final_subtract(t, n, s, out);  // a^2 < nR, so the result is < 2n
+}
+
+template <std::size_t S>
+void mul_fixed(const u64* a, const u64* b, const u64* n, u64 n0inv, u64* out) {
+  u64 t[S + 2] = {};
+  cios_mul<S>(a, b, n, n0inv, S, t, out);
+}
+
+template <std::size_t S>
+void sqr_fixed(const u64* a, const u64* n, u64 n0inv, u64* out) {
+  u64 t[2 * S + 1] = {};
+  fips_sqr<S>(a, n, n0inv, S, t, out);
+}
+
+}  // namespace
+
+void Montgomery::to_limbs(const BigNum& v, std::size_t s, std::uint64_t* out) {
+  std::fill(out, out + s, 0u);
   for (std::size_t i = 0; i < v.limbs_.size(); ++i) {
     out[i / 2] |= static_cast<std::uint64_t>(v.limbs_[i]) << (32 * (i % 2));
   }
-  return out;
 }
 
-BigNum Montgomery::from_limbs(const Limbs& v) {
+BigNum Montgomery::from_limbs(const std::uint64_t* v, std::size_t s) {
   BigNum out;
-  out.limbs_.resize(v.size() * 2, 0);
-  for (std::size_t i = 0; i < v.size(); ++i) {
+  out.limbs_.resize(s * 2, 0);
+  for (std::size_t i = 0; i < s; ++i) {
     out.limbs_[2 * i] = static_cast<std::uint32_t>(v[i]);
     out.limbs_[2 * i + 1] = static_cast<std::uint32_t>(v[i] >> 32);
   }
@@ -307,7 +477,8 @@ Montgomery::Montgomery(const BigNum& modulus) : modulus_(modulus) {
     throw std::invalid_argument("Montgomery: modulus must be odd and > 1");
   }
   const std::size_t s = (modulus.limbs_.size() + 1) / 2;
-  n_ = to_limbs(modulus, s);
+  n_.resize(s);
+  to_limbs(modulus, s, n_.data());
 
   // n0inv = -n^-1 mod 2^64 by Newton iteration: for odd x, x is its own
   // inverse mod 8, and each step doubles the number of correct bits
@@ -317,138 +488,109 @@ Montgomery::Montgomery(const BigNum& modulus) : modulus_(modulus) {
   n0inv_ = ~inv + 1u;  // -inv mod 2^64
 
   // R^2 mod n where R = 2^(64s): one big division at setup time.
-  rr_ = to_limbs((BigNum{1} << (128 * s)).mod(modulus), s);
+  rr_.resize(s);
+  to_limbs((BigNum{1} << (128 * s)).mod(modulus), s, rr_.data());
 }
 
 void Montgomery::mul(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out) const {
-  // CIOS (coarsely integrated operand scanning): interleave the multiply
-  // by b[i] with the Montgomery reduction step, keeping the accumulator at
-  // s+2 limbs. All terms fit in 128 bits: (2^64-1)^2 + 2*(2^64-1) = 2^128-1.
-  using u128 = unsigned __int128;
   const std::size_t s = n_.size();
-  // Stack scratch for every practical modulus (<= 2048 bits); the CIOS
-  // accumulator needs s+2 limbs and a heap allocation per multiply would
-  // dominate small-exponent exponentiations.
-  std::uint64_t stack_buf[34];
-  Limbs heap_buf;
-  std::uint64_t* t = stack_buf;
-  if (s + 2 > 34) {
-    heap_buf.assign(s + 2, 0);
-    t = heap_buf.data();
-  } else {
-    std::fill(stack_buf, stack_buf + s + 2, 0u);
-  }
-  for (std::size_t i = 0; i < s; ++i) {
-    const u128 bi = b[i];
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < s; ++j) {
-      const u128 cur = t[j] + a[j] * bi + carry;
-      t[j] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
+  switch (s) {
+    case 4: return mul_fixed<4>(a, b, n_.data(), n0inv_, out);
+    case 8: return mul_fixed<8>(a, b, n_.data(), n0inv_, out);
+    case 16: return mul_fixed<16>(a, b, n_.data(), n0inv_, out);
+    default: {
+      LimbBuffer<kStackLimbs + 2> t(s + 2);
+      cios_mul<0>(a, b, n_.data(), n0inv_, s, t.data(), out);
     }
-    u128 cur = static_cast<u128>(t[s]) + carry;
-    t[s] = static_cast<std::uint64_t>(cur);
-    t[s + 1] = static_cast<std::uint64_t>(cur >> 64);
-
-    const u128 m = t[0] * n0inv_;  // low 64 bits only
-    const std::uint64_t m64 = static_cast<std::uint64_t>(m);
-    carry = static_cast<std::uint64_t>((t[0] + static_cast<u128>(m64) * n_[0]) >> 64);
-    for (std::size_t j = 1; j < s; ++j) {
-      const u128 c2 = t[j] + static_cast<u128>(m64) * n_[j] + carry;
-      t[j - 1] = static_cast<std::uint64_t>(c2);
-      carry = static_cast<std::uint64_t>(c2 >> 64);
-    }
-    cur = static_cast<u128>(t[s]) + carry;
-    t[s - 1] = static_cast<std::uint64_t>(cur);
-    t[s] = t[s + 1] + static_cast<std::uint64_t>(cur >> 64);
-    t[s + 1] = 0;
-  }
-
-  // Final conditional subtraction: result is in [0, 2n).
-  bool ge = t[s] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = s; i-- > 0;) {
-      if (t[i] != n_[i]) {
-        ge = t[i] > n_[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    std::uint64_t borrow = 0;
-    for (std::size_t i = 0; i < s; ++i) {
-      const std::uint64_t ni = n_[i];
-      const std::uint64_t ti = t[i];
-      out[i] = ti - ni - borrow;
-      borrow = (ti < ni + borrow) || (borrow && ni + borrow == 0) ? 1u : 0u;
-    }
-  } else {
-    std::copy(t, t + s, out);
   }
 }
 
-BigNum Montgomery::pow(const BigNum& base, const BigNum& exponent) const {
+void Montgomery::sqr(const std::uint64_t* a, std::uint64_t* out) const {
   const std::size_t s = n_.size();
+  switch (s) {
+    case 4: return sqr_fixed<4>(a, n_.data(), n0inv_, out);
+    case 8: return sqr_fixed<8>(a, n_.data(), n0inv_, out);
+    case 16: return sqr_fixed<16>(a, n_.data(), n0inv_, out);
+    default: {
+      LimbBuffer<2 * kStackLimbs + 1> t(2 * s + 1);
+      fips_sqr<0>(a, n_.data(), n0inv_, s, t.data(), out);
+    }
+  }
+}
 
-  if (exponent.is_zero()) return BigNum{1};  // modulus > 1, so 1 mod n = 1
-
-  const Limbs base_n = to_limbs(base.mod(modulus_), s);
-
-  // one = R mod n = mont(R^2, 1); computed as mont(rr_, unit).
-  Limbs unit(s, 0);
-  unit[0] = 1;
-  Limbs one(s, 0);
-  mul(rr_.data(), unit.data(), one.data());
-
+void Montgomery::pow_mont(const BigNum& base, const BigNum& exponent, std::uint64_t* ws) const {
+  const std::size_t s = n_.size();
+  std::uint64_t* acc = ws;
   // Fixed 4-bit windows over a table of powers in Montgomery form; scan the
   // exponent from the most significant nibble down. The table is built only
   // up to the largest window value the exponent actually uses — a sparse
   // exponent like 65537 (nibbles 1,0,0,0,1) then costs one table entry
   // instead of fifteen.
-  Limbs base_m(s, 0);
-  mul(base_n.data(), rr_.data(), base_m.data());
+  std::uint64_t* table = ws + 2 * s;
+  const auto entry = [&](std::uint32_t k) { return table + (k - 1) * s; };  // base^k, k >= 1
+  const std::vector<std::uint32_t>& e = exponent.limbs_;
+  const auto window = [&](std::size_t w) { return (e[w / 8] >> (4 * (w % 8))) & 0xFu; };
 
-  const std::size_t nbits = exponent.bit_length();
-  const std::size_t nwindows = (nbits + 3) / 4;
+  if (base < modulus_) {
+    to_limbs(base, s, acc);
+  } else {
+    to_limbs(base.mod(modulus_), s, acc);
+  }
+  mul(acc, rr_.data(), entry(1));
+
+  const std::size_t nwindows = (exponent.bit_length() + 3) / 4;
   std::uint32_t max_window = 1;
-  for (std::size_t w = 0; w < nwindows; ++w) {
-    std::uint32_t window = 0;
-    for (std::size_t b = 0; b < 4; ++b) {
-      if (exponent.bit(w * 4 + b)) window |= 1u << b;
-    }
-    max_window = std::max(max_window, window);
-  }
+  for (std::size_t w = 0; w < nwindows; ++w) max_window = std::max(max_window, window(w));
+  for (std::uint32_t k = 2; k <= max_window; ++k) mul(entry(k - 1), entry(1), entry(k));
 
-  std::vector<Limbs> table(max_window + 1, Limbs(s, 0));
-  table[0] = one;
-  table[1] = base_m;
-  for (std::size_t k = 2; k <= max_window; ++k) {
-    mul(table[k - 1].data(), base_m.data(), table[k].data());
+  // The top window is nonzero, so the accumulator starts at its entry.
+  const std::uint64_t* top = entry(window(nwindows - 1));
+  std::copy(top, top + s, acc);
+  for (std::size_t w = nwindows - 1; w-- > 0;) {
+    for (int sq = 0; sq < 4; ++sq) sqr(acc, acc);
+    if (const std::uint32_t k = window(w)) mul(acc, entry(k), acc);
   }
-  Limbs acc = one;
-  Limbs tmp(s, 0);
-  for (std::size_t w = nwindows; w-- > 0;) {
-    if (w + 1 != nwindows) {
-      for (int sq = 0; sq < 4; ++sq) {
-        mul(acc.data(), acc.data(), tmp.data());
-        std::swap(acc, tmp);
-      }
-    }
-    std::uint32_t window = 0;
-    for (std::size_t b = 0; b < 4; ++b) {
-      if (exponent.bit(w * 4 + b)) window |= 1u << b;
-    }
-    if (window != 0) {
-      mul(acc.data(), table[window].data(), tmp.data());
-      std::swap(acc, tmp);
-    }
-  }
+}
 
-  // Leave Montgomery form: mont(acc, 1).
-  Limbs result(s, 0);
-  mul(acc.data(), unit.data(), result.data());
-  return from_limbs(result);
+BigNum Montgomery::pow(const BigNum& base, const BigNum& exponent) const {
+  if (exponent.is_zero()) return BigNum{1};  // modulus > 1, so 1 mod n = 1
+  const std::size_t s = n_.size();
+  LimbBuffer<workspace_limbs(kStackLimbs)> ws(workspace_limbs(s));
+  std::uint64_t* acc = ws.data();
+  pow_mont(base, exponent, acc);
+
+  // Leave Montgomery form: acc * 1 * R^-1.
+  std::uint64_t* unit = acc + s;
+  std::fill(unit, unit + s, 0u);
+  unit[0] = 1;
+  mul(acc, unit, acc);
+  return from_limbs(acc, s);
+}
+
+bool Montgomery::is_miller_rabin_witness(const BigNum& a, const BigNum& d, std::size_t s2) const {
+  const std::size_t s = n_.size();
+  LimbBuffer<workspace_limbs(kStackLimbs)> ws(workspace_limbs(s));
+  std::uint64_t* x = ws.data();
+  pow_mont(a, d, x);
+
+  // 1 and n - 1 in Montgomery form, R mod n and n - (R mod n), in the
+  // caller's slot and the now free window table.
+  std::uint64_t* one = x + s;
+  std::uint64_t* minus_one = x + 2 * s;
+  std::fill(one, one + s, 0u);
+  one[0] = 1;
+  mul(one, rr_.data(), one);  // 1 * R^2 * R^-1
+  sub_limbs(n_.data(), one, s, minus_one);
+  const auto equal = [s](const std::uint64_t* u, const std::uint64_t* v) {
+    return std::equal(u, u + s, v);
+  };
+
+  if (equal(x, one) || equal(x, minus_one)) return false;
+  for (std::size_t i = 1; i < s2; ++i) {
+    sqr(x, x);
+    if (equal(x, minus_one)) return false;
+  }
+  return true;
 }
 
 std::uint32_t BigNum::mod_u32(std::uint32_t m) const {
@@ -545,8 +687,7 @@ bool BigNum::is_probable_prime(const BigNum& n, Rng& rng, int rounds) {
   if (!n.is_odd()) return n == BigNum{2};
 
   // n - 1 = d * 2^s
-  const BigNum n_minus_1 = n - BigNum{1};
-  BigNum d = n_minus_1;
+  BigNum d = n - BigNum{1};
   std::size_t s = 0;
   while (!d.is_odd()) {
     d = d >> 1;
@@ -555,19 +696,10 @@ bool BigNum::is_probable_prime(const BigNum& n, Rng& rng, int rounds) {
 
   const BigNum two{2};
   const BigNum n_minus_3 = n - BigNum{3};
+  const Montgomery mont(n);
   for (int round = 0; round < rounds; ++round) {
     const BigNum a = random_below(rng, n_minus_3) + two;  // in [2, n-2]
-    BigNum x = a.powmod(d, n);
-    if (x == BigNum{1} || x == n_minus_1) continue;
-    bool witness = true;
-    for (std::size_t i = 1; i < s; ++i) {
-      x = (x * x).mod(n);
-      if (x == n_minus_1) {
-        witness = false;
-        break;
-      }
-    }
-    if (witness) return false;
+    if (mont.is_miller_rabin_witness(a, d, s)) return false;
   }
   return true;
 }

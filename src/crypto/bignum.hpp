@@ -104,9 +104,16 @@ struct DivMod {
 /// Construction pays one Knuth division (for R^2 mod n) plus a Newton
 /// inversion of the low limb; every subsequent modular multiplication is a
 /// single CIOS pass (interleaved multiply + reduce, no division at all).
-/// RSA keys cache one of these per modulus so repeated sign/verify against
-/// the same key amortizes the setup. Immutable after construction, so a
-/// `const Montgomery` is safe to share across threads.
+/// Moduli of 4, 8 and 16 64-bit limbs (256, 512 and 1024 bits: the CRT
+/// halves and public moduli of 512- and 1024-bit RSA keys) run kernels with
+/// the width fixed at compile time; other widths run the same kernels with
+/// the width read at run time. The squarings of pow() use a squaring kernel
+/// that forms each cross product once. pow() keeps its window table and
+/// accumulator in stack limb buffers: for moduli up to 2048 bits and a base
+/// below the modulus it allocates only its result. RSA keys cache one of
+/// these per modulus so repeated sign/verify against the same key amortizes
+/// the setup. Immutable after construction, so a `const Montgomery` is safe
+/// to share across threads.
 class Montgomery {
  public:
   /// Modulus must be odd and > 1; throws std::invalid_argument otherwise.
@@ -117,18 +124,29 @@ class Montgomery {
   /// (base ^ exponent) mod modulus via fixed 4-bit-window exponentiation.
   BigNum pow(const BigNum& base, const BigNum& exponent) const;
 
+  /// One Miller-Rabin round: true when `a` (in [2, modulus - 2]) proves the
+  /// modulus composite, where modulus - 1 = d * 2^s with d odd. The
+  /// squarings stay in Montgomery form.
+  bool is_miller_rabin_witness(const BigNum& a, const BigNum& d, std::size_t s) const;
+
  private:
   // Internally the context works on 64-bit limbs (with 128-bit multiply
   // intermediates): one CIOS pass then does a quarter of the single-limb
   // multiply-accumulates the BigNum 32-bit representation would need.
   using Limbs = std::vector<std::uint64_t>;
 
-  /// out = a * b * R^-1 mod n (CIOS). All operands are s limbs; `out` must
-  /// not alias `a` or `b`.
+  /// out = a * b * R^-1 mod n (CIOS). All operands are s limbs below n;
+  /// `out` may alias `a` or `b`.
   void mul(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out) const;
+  /// out = a * a * R^-1 mod n; `out` may alias `a`.
+  void sqr(const std::uint64_t* a, std::uint64_t* out) const;
+  /// Leaves base ^ exponent (exponent nonzero) in Montgomery form in
+  /// ws[0, s), using ws[2s, 17s) for the window table; ws[s, 2s) is left
+  /// to the caller.
+  void pow_mont(const BigNum& base, const BigNum& exponent, std::uint64_t* ws) const;
 
-  static Limbs to_limbs(const BigNum& v, std::size_t s);  // zero-padded to s limbs
-  static BigNum from_limbs(const Limbs& v);
+  static void to_limbs(const BigNum& v, std::size_t s, std::uint64_t* out);  // zero-padded
+  static BigNum from_limbs(const std::uint64_t* v, std::size_t s);
 
   BigNum modulus_;
   Limbs n_;            // modulus limbs, length s

@@ -94,13 +94,14 @@ void Sha256::update(BytesView data) {
 
 Bytes Sha256::finish() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(BytesView(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(BytesView(&zero, 1));
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - i * 8));
-  update(BytesView(len_bytes, 8));
+  // 0x80, zeros up to 56 mod 64, then the 64-bit big-endian bit length:
+  // one update() that completes one or two blocks.
+  std::uint8_t pad[128] = {0x80};
+  const std::size_t len_at = (buffered_ < 56 ? 56 : 120) - buffered_;
+  for (std::size_t i = 0; i < 8; ++i) {
+    pad[len_at + i] = static_cast<std::uint8_t>(bit_len >> (56 - i * 8));
+  }
+  update(BytesView(pad, len_at + 8));
 
   Bytes out(kSha256DigestSize);
   for (int i = 0; i < 8; ++i) {

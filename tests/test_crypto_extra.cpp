@@ -34,6 +34,42 @@ TEST(Sha256Extra, SingleByteAndBoundaryLengths) {
   }
 }
 
+TEST(Sha256Extra, PaddingBoundaryDigests) {
+  // finish() pads in one update(): 0x80 and the length share the last block
+  // up to 55 buffered bytes and spill into a second block from 56 on.
+  // Expected digests from Python's hashlib over bytes (31i + 7) mod 256.
+  const auto message = [](std::size_t n) {
+    Bytes m(n);
+    for (std::size_t i = 0; i < n; ++i) m[i] = static_cast<std::uint8_t>(i * 31 + 7);
+    return m;
+  };
+  const std::pair<std::size_t, const char*> cases[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {55, "8aa994584139d128848eeebc4e815639ba5ab6e6e39574195a63ac4f14f7c43b"},
+      {56, "ad574708f75c044c9b85de64cb568ee7711ff4f36448c6242f053ba8f6cc2b63"},
+      {63, "280ed3e8ff1df845b2e7dfe6ac6cee817bef20e783cc65abc41b818b4d2fe076"},
+      {64, "c6ab9724ade5b6a7a1edfffb12f3aa9181351355af8fd08c919952ad211339dd"},
+      {119, "3d610547d68216dedf7435a4fb6260353911f6b3fd3f18805ddb8be285d726fe"},
+      {120, "1f80156a804cb7862ad113e8200e9d74499723e7c7854d5f48776d3148e09656"},
+  };
+  for (const auto& [n, digest] : cases) {
+    EXPECT_EQ(to_hex(sha256(message(n))), digest) << "length " << n;
+  }
+
+  // The same 200 bytes fed in uneven pieces, so finish() starts from a
+  // partly filled buffer.
+  const Bytes m = message(200);
+  Sha256 ctx;
+  std::size_t off = 0;
+  for (std::size_t piece : {1u, 63u, 64u, 57u, 15u}) {
+    ctx.update(BytesView(m).subspan(off, piece));
+    off += piece;
+  }
+  ASSERT_EQ(off, m.size());
+  EXPECT_EQ(to_hex(ctx.finish()),
+            "44cae5223d431caed4a9e32271d6abf17c3f2f4abac45fcdb48a99fcc6072a09");
+}
+
 TEST(HmacExtra, Rfc4231Case3) {
   const Bytes key(20, 0xaa);
   const Bytes data(50, 0xdd);
@@ -148,6 +184,39 @@ TEST_P(RsaKeySizeSweep, SignVerifyEncryptDecrypt) {
 
 INSTANTIATE_TEST_SUITE_P(KeySizes, RsaKeySizeSweep, ::testing::Values(384, 512, 768, 1024));
 
+TEST(RsaExtra, KeygenIsByteStable) {
+  // Key generation draws Miller-Rabin bases from the caller's RNG, so the
+  // primality test must keep its draw sequence: same seed, same modulus,
+  // same RNG state afterwards. The digests (SHA-256 of the big-endian
+  // modulus) and next draws are frozen: every seeded key in the simulator,
+  // and so every fingerprint, depends on them.
+  struct Case {
+    std::uint64_t seed;
+    std::size_t bits;
+    const char* modulus_digest;
+    std::uint64_t next_draw;
+  };
+  const Case cases[] = {
+      {1, 512, "bcab574f16a8259b964e14734787e9874967d8aab3d1292a819cd92c61dbc23f",
+       9299927363573429491ULL},
+      {2, 512, "68fec4bc751b26e6a71850f43f6176b54cdbbe91f1c53fcae4080530cd32207e",
+       5764496663267577297ULL},
+      {3, 1024, "2c57bbf11a9b5e64ba5395e13792e5248f82ea3a9a9dc69a9cd3c3cc8556a6c9",
+       17413335253427622024ULL},
+      {4, 192, "11215a7d0efe685f97898df60951fb79264f5b40ec4d77ddfa32227f9fcca4f2",
+       15370860387984627569ULL},
+      {6, 768, "1707e2fe174e34dbb1dc9c4f69932f55e231f954719da185d2449ee28048c7d3",
+       16649033294968868814ULL},
+  };
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    const RsaKeyPair keys = RsaKeyPair::generate(rng, c.bits);
+    EXPECT_EQ(to_hex(sha256(keys.public_key().modulus().to_bytes_be())), c.modulus_digest)
+        << "seed " << c.seed << " bits " << c.bits;
+    EXPECT_EQ(rng.next_u64(), c.next_draw) << "seed " << c.seed << " bits " << c.bits;
+  }
+}
+
 TEST(RsaExtra, CrtMatchesPlainExponentiation) {
   // The signature must verify under pure public-side math — which it only
   // can if the CRT private op equals m^d mod n.
@@ -242,6 +311,70 @@ TEST(MontgomeryDiff, EdgeOperands) {
   // Even modulus still works through the reference fallback.
   EXPECT_EQ(BigNum{7}.powmod(BigNum{13}, BigNum{100}),
             BigNum{7}.powmod_reference(BigNum{13}, BigNum{100}));
+}
+
+// Odd modulus of exactly `limbs` 64-bit limbs whose top limb is `top`
+// (random when 0); the rest is random.
+BigNum odd_modulus(Rng& rng, std::size_t limbs, std::uint64_t top) {
+  Bytes bytes = rng.random_bytes(limbs * 8);
+  if (top == 0) top = rng.next_u64() | (1ULL << 63);
+  for (std::size_t i = 0; i < 8; ++i) bytes[i] = static_cast<std::uint8_t>(top >> (56 - 8 * i));
+  bytes.back() |= 1;
+  return BigNum::from_bytes_be(bytes);
+}
+
+TEST(MontgomeryDiff, EveryWidthAndEdgeOperand) {
+  // Montgomery::mul runs compile-time-width kernels at 4, 8 and 16 limbs and
+  // the run-time-width loop elsewhere; the sweep covers 1..17 limbs, so both
+  // sides of each dispatch boundary. Moduli with an all-ones top limb leave
+  // the least headroom below R; a top limb of 1 the most. Each pow is checked
+  // against the square-and-multiply reference.
+  const std::uint64_t seed = cb::test::seed_or(0x11B5);
+  SCOPED_TRACE(::testing::Message() << "replay with CB_TEST_SEED=" << seed);
+  Rng rng(seed);
+  for (std::size_t limbs = 1; limbs <= 17; ++limbs) {
+    for (std::uint64_t top : {std::uint64_t{0}, ~std::uint64_t{0}, std::uint64_t{1}}) {
+      const BigNum n = odd_modulus(rng, limbs, top);
+      if (n == BigNum{1}) continue;  // limbs == 1 and top == 1
+      const Montgomery mont(n);
+      const BigNum one{1};
+      const BigNum all_ones = (one << n.bit_length()) - one;
+      const BigNum bases[] = {BigNum{}, one, n - one, n, n + n - one,
+                              BigNum::random_below(rng, n)};
+      const BigNum exponents[] = {BigNum{}, one, BigNum{2}, all_ones};
+      for (const BigNum& b : bases) {
+        for (const BigNum& e : exponents) {
+          ASSERT_EQ(mont.pow(b, e), b.powmod_reference(e, n))
+              << "limbs=" << limbs << " top=" << top << " base=" << b.to_string_hex()
+              << " exp=" << e.to_string_hex();
+        }
+      }
+    }
+  }
+}
+
+TEST(MontgomeryDiff, SquaringKernelMatchesSelfMultiply) {
+  // pow(b, 2) forms its one table entry with the multiply kernel (b * b);
+  // pow(b, 16) is table entry b followed by four squaring-kernel passes. So
+  // four chained pow(., 2) must equal one pow(., 16), at every width.
+  const std::uint64_t seed = cb::test::seed_or(0x5C2);
+  SCOPED_TRACE(::testing::Message() << "replay with CB_TEST_SEED=" << seed);
+  Rng rng(seed);
+  const BigNum two{2};
+  const BigNum sixteen{16};
+  for (std::size_t limbs = 1; limbs <= 17; ++limbs) {
+    for (std::uint64_t top : {std::uint64_t{0}, ~std::uint64_t{0}, std::uint64_t{2}}) {
+      const BigNum n = odd_modulus(rng, limbs, top);
+      const Montgomery mont(n);
+      for (int trial = 0; trial < 4; ++trial) {
+        const BigNum b = trial == 0 ? n - BigNum{1} : BigNum::random_below(rng, n);
+        BigNum by_mul = b;
+        for (int i = 0; i < 4; ++i) by_mul = mont.pow(by_mul, two);
+        EXPECT_EQ(mont.pow(b, sixteen), by_mul) << "limbs=" << limbs << " top=" << top;
+        EXPECT_EQ(by_mul, b.powmod_reference(sixteen, n)) << "limbs=" << limbs << " top=" << top;
+      }
+    }
+  }
 }
 
 TEST(MontgomeryDiff, CrtSignMatchesPlainExponentiationAcrossSizes) {
