@@ -49,20 +49,20 @@ bool constant_time_equal(BytesView a, BytesView b) {
 void ByteWriter::u8(std::uint8_t v) { buf_.push_back(v); }
 
 void ByteWriter::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
+  const std::uint8_t b[2] = {static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
+  buf_.insert(buf_.end(), b, b + 2);
 }
 
 void ByteWriter::u32(std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
+  std::uint8_t b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(v >> (24 - 8 * i));
+  buf_.insert(buf_.end(), b, b + 4);
 }
 
 void ByteWriter::u64(std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
+  std::uint8_t b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+  buf_.insert(buf_.end(), b, b + 8);
 }
 
 void ByteWriter::raw(BytesView data) {

@@ -34,6 +34,9 @@ bool constant_time_equal(BytesView a, BytesView b);
 /// Append-only big-endian serializer.
 class ByteWriter {
  public:
+  /// Size the buffer once when the message length is known up front.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);

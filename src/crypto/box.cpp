@@ -15,10 +15,12 @@ struct SymKeys {
   Bytes mac;
 };
 
+// One extract, two expands: the same keys as two full hkdf() calls.
 SymKeys derive(BytesView master) {
+  const Bytes prk = hkdf_extract(to_bytes("cb-box-salt"), master);
   return SymKeys{
-      hkdf(to_bytes("cb-box-salt"), master, to_bytes("enc"), kChaChaKeySize),
-      hkdf(to_bytes("cb-box-salt"), master, to_bytes("mac"), 32),
+      hkdf_expand(prk, to_bytes("enc"), kChaChaKeySize),
+      hkdf_expand(prk, to_bytes("mac"), 32),
   };
 }
 

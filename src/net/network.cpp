@@ -52,8 +52,9 @@ Link* Network::next_hop(const Node& from, Ipv4Addr dst) {
   if (owner == nullptr || owner == &from) return nullptr;
   RouteTable& table = tables_[from.index()];
   if (table.version != topology_version_) rebuild_routes(from.index());
-  auto it = table.next_hop.find(owner);
-  return it == table.next_hop.end() ? nullptr : it->second;
+  // A node added since the last rebuild has no links yet: unreachable.
+  const std::size_t to = owner->index();
+  return to < table.next_hop.size() ? table.next_hop[to] : nullptr;
 }
 
 void Network::recompute_routes() {
@@ -88,10 +89,7 @@ void Network::rebuild_routes(std::size_t src) {
   }
 
   RouteTable& table = tables_[src];
-  table.next_hop.clear();
-  for (std::size_t v = 0; v < n; ++v) {
-    if (first_hop[v] != nullptr) table.next_hop.emplace(nodes_[v].get(), first_hop[v]);
-  }
+  table.next_hop = std::move(first_hop);
   table.version = topology_version_;
   ++route_rebuilds_;
 }

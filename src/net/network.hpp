@@ -62,7 +62,7 @@ class Network {
 
   struct RouteTable {
     std::uint64_t version = 0;  // topology_version_ at build time; 0 = never
-    std::unordered_map<const Node*, Link*> next_hop;  // reachable node -> hop
+    std::vector<Link*> next_hop;  // by node index; nullptr = unreachable
   };
   sim::Simulator& sim_;
   std::vector<std::unique_ptr<Node>> nodes_;

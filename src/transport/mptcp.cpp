@@ -1,6 +1,7 @@
 #include "transport/mptcp.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
@@ -20,21 +21,30 @@ enum class Rec : std::uint8_t {
 };
 
 constexpr std::size_t kDataHeader = 1 + 8 + 4;
+constexpr std::size_t kTokenRecord = 1 + 8;
+constexpr std::size_t kRemoveAddrRecord = 1 + 4;
 
-Bytes make_token_record(Rec type, std::uint64_t token) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u64(token);
-  return w.take();
+void store_be(std::uint8_t* p, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * (bytes - 1 - i)));
 }
 
-Bytes make_dfin(std::uint64_t dseq) { return make_token_record(Rec::Dfin, dseq); }
+// Fixed-size records are built on the stack at their exact size.
+using TokenRecord = std::array<std::uint8_t, kTokenRecord>;
 
-Bytes make_remove_addr(net::Ipv4Addr addr) {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(Rec::RemoveAddr));
-  w.u32(addr.value());
-  return w.take();
+TokenRecord make_token_record(Rec type, std::uint64_t token) {
+  TokenRecord r;
+  r[0] = static_cast<std::uint8_t>(type);
+  store_be(r.data() + 1, token, 8);
+  return r;
+}
+
+TokenRecord make_dfin(std::uint64_t dseq) { return make_token_record(Rec::Dfin, dseq); }
+
+std::array<std::uint8_t, kRemoveAddrRecord> make_remove_addr(net::Ipv4Addr addr) {
+  std::array<std::uint8_t, kRemoveAddrRecord> r;
+  r[0] = static_cast<std::uint8_t>(Rec::RemoveAddr);
+  store_be(r.data() + 1, addr.value(), 4);
+  return r;
 }
 
 }  // namespace
@@ -180,55 +190,62 @@ void MptcpSocket::parse_records(std::size_t index) {
     if (finished_) return;
     ByteQueue& rx = subflows_[index].rx;
     if (rx.size() < 1) return;
-    const auto type = static_cast<Rec>(rx.peek(0, 1)[0]);
+    // Fixed-size record headers are read into this stack buffer.
+    std::uint8_t header[kDataHeader];
+    const auto read_header = [&](std::size_t n) {
+      rx.copy_out(0, n, header);
+      ByteReader r(BytesView(header, n));
+      r.u8();  // the record type
+      return r;
+    };
+    const auto type = static_cast<Rec>(rx[0]);
     switch (type) {
       case Rec::Cap:
       case Rec::Join: {
-        if (rx.size() < 9) return;
-        rx.pop(9);  // token already consumed by the stack on adoption
+        if (rx.size() < kTokenRecord) return;
+        rx.pop(kTokenRecord);  // token already consumed by the stack on adoption
         break;
       }
       case Rec::Data: {
         if (rx.size() < kDataHeader) return;
-        const Bytes header = rx.peek(0, kDataHeader);
-        ByteReader r(header);
-        r.u8();
+        ByteReader r = read_header(kDataHeader);
         const std::uint64_t dseq = r.u64();
         const std::uint32_t len = r.u32();
         if (rx.size() < kDataHeader + len) return;
-        Bytes payload = rx.peek(kDataHeader, len);
+        // A payload that straddles the ring's seam is joined in a reusable
+        // buffer; otherwise the record is read in place.
+        const ByteQueue::Pieces p = rx.pieces(kDataHeader, len);
+        BytesView payload = p.first;
+        if (!p.second.empty()) {
+          record_buf_.resize(len);
+          rx.copy_out(kDataHeader, len, record_buf_.data());
+          payload = record_buf_;
+        }
+        // Popping moves no bytes, so `payload` stays valid until the next
+        // append to rx, which only a later subflow delivery makes.
         rx.pop(kDataHeader + len);
-        handle_data_record(dseq, std::move(payload));
+        handle_data_record(dseq, payload);
         break;
       }
       case Rec::Dack: {
-        if (rx.size() < 9) return;
-        const Bytes header = rx.peek(0, 9);
-        ByteReader r(header);
-        r.u8();
-        const std::uint64_t dack = r.u64();
-        rx.pop(9);
+        if (rx.size() < kTokenRecord) return;
+        const std::uint64_t dack = read_header(kTokenRecord).u64();
+        rx.pop(kTokenRecord);
         handle_dack(dack);
         break;
       }
       case Rec::RemoveAddr: {
-        if (rx.size() < 5) return;
-        const Bytes header = rx.peek(0, 5);
-        ByteReader r(header);
-        r.u8();
-        const net::Ipv4Addr addr{r.u32()};
-        rx.pop(5);
+        if (rx.size() < kRemoveAddrRecord) return;
+        const net::Ipv4Addr addr{read_header(kRemoveAddrRecord).u32()};
+        rx.pop(kRemoveAddrRecord);
         handle_remove_addr(addr);
         break;
       }
       case Rec::Dfin: {
-        if (rx.size() < 9) return;
-        const Bytes header = rx.peek(0, 9);
-        ByteReader r(header);
-        r.u8();
+        if (rx.size() < kTokenRecord) return;
         peer_fin_ = true;
-        peer_fin_dseq_ = r.u64();
-        rx.pop(9);
+        peer_fin_dseq_ = read_header(kTokenRecord).u64();
+        rx.pop(kTokenRecord);
         maybe_deliver_eof();
         break;
       }
@@ -240,7 +257,7 @@ void MptcpSocket::parse_records(std::size_t index) {
   }
 }
 
-void MptcpSocket::handle_data_record(std::uint64_t dseq, Bytes payload) {
+void MptcpSocket::handle_data_record(std::uint64_t dseq, BytesView payload) {
   const std::uint64_t end = dseq + payload.size();
   if (peer_fin_ && end > peer_fin_dseq_) ++stack_.sanity_.data_past_fin;
   if (end <= rcv_dseq_) {
@@ -248,12 +265,12 @@ void MptcpSocket::handle_data_record(std::uint64_t dseq, Bytes payload) {
     return;
   }
   if (dseq > rcv_dseq_) {
-    out_of_order_.emplace(dseq, std::move(payload));
+    // Out of order: the only receive-side copy that outlives the record.
+    out_of_order_.emplace(dseq, Bytes(payload.begin(), payload.end()));
     send_dack();
     return;
   }
-  const std::size_t advance = rcv_dseq_ - dseq;
-  BytesView fresh(payload.data() + advance, payload.size() - advance);
+  const BytesView fresh = payload.subspan(rcv_dseq_ - dseq);
   rcv_dseq_ += fresh.size();
   if (on_data) on_data(fresh);
   if (finished_) return;
@@ -309,7 +326,7 @@ void MptcpSocket::dack_refresh_tick() {
   // DATA_FIN is retransmitted until acknowledged.
   if (fin_sent_ && !fin_acked_) {
     if (Subflow* sf = active_subflow()) {
-      if (sf->tcp->send_space() >= 9) sf->tcp->send(make_dfin(fin_dseq_));
+      if (sf->tcp->send_space() >= kTokenRecord) sf->tcp->send(make_dfin(fin_dseq_));
     }
   }
   dack_timer_ = stack_.simulator().schedule(config_.dack_refresh,
@@ -377,18 +394,20 @@ void MptcpSocket::try_send() {
       const std::size_t len = std::min(unsent, config_.record_payload);
       const std::size_t record_size = kDataHeader + len;
       if (sf->tcp->send_space() < record_size) return;
-      ByteWriter w;
-      w.u8(static_cast<std::uint8_t>(Rec::Data));
-      w.u64(dseq_nxt_);
-      w.u32(static_cast<std::uint32_t>(len));
-      w.raw(send_buffer_.peek(unsent_off, len));
-      sf->tcp->send(w.data());
+      // Header plus payload straight from the connection-level buffer into
+      // the subflow's send queue.
+      std::uint8_t header[kDataHeader];
+      header[0] = static_cast<std::uint8_t>(Rec::Data);
+      store_be(header + 1, dseq_nxt_, 8);
+      store_be(header + 9, len, 4);
+      const ByteQueue::Pieces payload = send_buffer_.pieces(unsent_off, len);
+      sf->tcp->send_gather({BytesView(header), payload.first, payload.second});
       dseq_nxt_ += len;
       if (dseq_nxt_ > dseq_high_) dseq_high_ = dseq_nxt_;
       continue;
     }
     if (fin_pending_ && !fin_sent_) {
-      if (sf->tcp->send_space() < 9) return;
+      if (sf->tcp->send_space() < kTokenRecord) return;
       fin_dseq_ = dseq_nxt_;
       sf->tcp->send(make_dfin(fin_dseq_));
       fin_sent_ = true;
@@ -523,6 +542,7 @@ MptcpStack::~MptcpStack() {
 void MptcpStack::send_dack_datagram(net::EndPoint from, net::EndPoint to,
                                     std::uint64_t token, std::uint64_t dack) {
   ByteWriter w;
+  w.reserve(16);
   w.u64(token);
   w.u64(dack);
   net::Packet p;
@@ -581,12 +601,13 @@ void MptcpStack::on_pending_data(const std::shared_ptr<PendingSubflow>& pending)
   // Local copy: replacing tcp->on_data below destroys the closure that owns
   // the reference we were called with.
   const std::shared_ptr<PendingSubflow> sub = pending;
-  if (sub->rx.size() < 9) return;
-  const Bytes header = sub->rx.peek(0, 9);
+  if (sub->rx.size() < kTokenRecord) return;
+  std::uint8_t header[kTokenRecord];
+  sub->rx.copy_out(0, kTokenRecord, header);
   ByteReader r(header);
   const auto type = static_cast<Rec>(r.u8());
   const std::uint64_t token = r.u64();
-  sub->rx.pop(9);
+  sub->rx.pop(kTokenRecord);
 
   // Hand off: the connection takes over the TCP callbacks. Deferred to a
   // fresh event so we are no longer inside the on_data we are replacing.

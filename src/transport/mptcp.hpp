@@ -84,7 +84,7 @@ class MptcpSocket final : public StreamSocket,
   void attach_subflow_callbacks(std::size_t index);
   void on_subflow_data(std::size_t index, BytesView data);
   void parse_records(std::size_t index);
-  void handle_data_record(std::uint64_t dseq, Bytes payload);
+  void handle_data_record(std::uint64_t dseq, BytesView payload);
   void handle_dack(std::uint64_t dack);
   void handle_remove_addr(net::Ipv4Addr addr);
   void deliver_in_order();
@@ -122,7 +122,8 @@ class MptcpSocket final : public StreamSocket,
 
   // Receiver.
   std::uint64_t rcv_dseq_ = 0;
-  std::map<std::uint64_t, Bytes> out_of_order_;
+  std::map<std::uint64_t, Bytes> out_of_order_;  // owned copies
+  Bytes record_buf_;  // a DATA record payload that straddles the rx ring seam
   bool peer_fin_ = false;
   std::uint64_t peer_fin_dseq_ = 0;
   bool eof_delivered_ = false;

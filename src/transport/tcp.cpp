@@ -8,8 +8,12 @@ namespace cb::transport {
 
 // --- Wire format -----------------------------------------------------------
 
-Bytes serialize_segment(const TcpHeader& h, BytesView payload) {
+namespace {
+
+// Header fields, sized for the payload that follows.
+ByteWriter begin_segment(const TcpHeader& h, std::size_t payload_len) {
   ByteWriter w;
+  w.reserve(kTcpHeaderBytes + 8 * h.sack.size() + payload_len);
   w.u32(h.seq);
   w.u32(h.ack);
   w.u32(h.window);
@@ -25,35 +29,40 @@ Bytes serialize_segment(const TcpHeader& h, BytesView payload) {
     w.u32(start);
     w.u32(end);
   }
+  return w;
+}
+
+}  // namespace
+
+Bytes serialize_segment(const TcpHeader& h, BytesView payload) {
+  ByteWriter w = begin_segment(h, payload.size());
   w.raw(payload);
   return w.take();
 }
 
-bool parse_segment(BytesView wire, TcpHeader& h, Bytes& payload) {
+bool parse_segment(BytesView wire, TcpHeader& h, BytesView& payload) {
   if (wire.size() < kTcpHeaderBytes) return false;
-  try {
-    ByteReader r(wire);
-    h.seq = r.u32();
-    h.ack = r.u32();
-    h.window = r.u32();
-    const std::uint8_t flags = r.u8();
-    r.u8();
-    h.syn = flags & 1;
-    h.ack_flag = flags & 2;
-    h.fin = flags & 4;
-    h.rst = flags & 8;
-    const std::uint8_t n_sack = r.u8();
-    h.sack.clear();
-    for (std::uint8_t i = 0; i < n_sack; ++i) {
-      const std::uint32_t start = r.u32();
-      const std::uint32_t end = r.u32();
-      h.sack.emplace_back(start, end);
-    }
-    payload = r.raw(r.remaining());
-    return true;
-  } catch (const std::out_of_range&) {
-    return false;
+  const std::size_t header = kTcpHeaderBytes + 8 * std::size_t{wire[14]};
+  if (wire.size() < header) return false;
+  ByteReader r(wire.first(header));  // sized above: no read runs short
+  h.seq = r.u32();
+  h.ack = r.u32();
+  h.window = r.u32();
+  const std::uint8_t flags = r.u8();
+  r.u8();
+  h.syn = flags & 1;
+  h.ack_flag = flags & 2;
+  h.fin = flags & 4;
+  h.rst = flags & 8;
+  const std::uint8_t n_sack = r.u8();
+  h.sack.clear();
+  h.sack.reserve(n_sack);
+  for (std::uint8_t i = 0; i < n_sack; ++i) {
+    const std::uint32_t start = r.u32();
+    h.sack.push_back({start, r.u32()});
   }
+  payload = wire.subspan(header);
+  return true;
 }
 
 // --- TcpSocket ---------------------------------------------------------------
@@ -86,16 +95,27 @@ std::size_t TcpSocket::send_space() const {
   return config_.send_buffer - send_buffer_.size();
 }
 
-std::size_t TcpSocket::send(BytesView data) {
+bool TcpSocket::can_send() const {
   if (state_ != State::Established && state_ != State::CloseWait &&
       state_ != State::SynSent) {
-    return 0;
+    return false;
   }
-  if (fin_pending_ || fin_sent_) return 0;
-  const std::size_t take = std::min(data.size(), send_space());
-  send_buffer_.append(data.subspan(0, take));
+  return !fin_pending_ && !fin_sent_;
+}
+
+std::size_t TcpSocket::send(BytesView data) { return send_gather({data}); }
+
+std::size_t TcpSocket::send_gather(std::initializer_list<BytesView> parts) {
+  if (!can_send()) return 0;
+  const std::size_t space = send_space();
+  std::size_t queued = 0;
+  for (BytesView part : parts) {
+    const std::size_t take = std::min(part.size(), space - queued);
+    send_buffer_.append(part.first(take));
+    queued += take;
+  }
   if (state_ == State::Established || state_ == State::CloseWait) try_send();
-  return take;
+  return queued;
 }
 
 void TcpSocket::close() {
@@ -122,7 +142,7 @@ void TcpSocket::abort() {
   h.ack = rcv_nxt_;
   h.ack_flag = true;
   h.rst = true;
-  emit(h, {});
+  emit(h);
   finish("reset by local");
 }
 
@@ -175,7 +195,7 @@ void TcpSocket::send_control(bool syn, bool ack, std::uint32_t seq) {
   h.syn = syn;
   h.ack_flag = ack;
   h.window = static_cast<std::uint32_t>(config_.receive_window);
-  emit(h, {});
+  emit(h);
 }
 
 void TcpSocket::send_ack() {
@@ -184,22 +204,23 @@ void TcpSocket::send_ack() {
   h.ack = rcv_nxt_;
   h.ack_flag = true;
   h.window = static_cast<std::uint32_t>(config_.receive_window);
-  h.sack = receiver_sack_blocks();
-  emit(h, {});
+  receiver_sack_blocks(h.sack);
+  emit(h);
 }
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>> TcpSocket::receiver_sack_blocks() const {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> blocks;
+void TcpSocket::receiver_sack_blocks(std::vector<SackBlock>& blocks) const {
+  blocks.clear();
+  if (out_of_order_.empty()) return;
+  blocks.reserve(3);  // one allocation, and only while data is out of order
   for (const auto& [start, data] : out_of_order_) {
     const std::uint32_t end = start + static_cast<std::uint32_t>(data.size());
-    if (!blocks.empty() && blocks.back().second == start) {
-      blocks.back().second = end;  // merge adjacent
+    if (!blocks.empty() && blocks.back().end == start) {
+      blocks.back().end = end;  // merge adjacent
     } else {
       if (blocks.size() == 3) break;
-      blocks.emplace_back(start, end);
+      blocks.push_back({start, end});
     }
   }
-  return blocks;
 }
 
 void TcpSocket::add_sack_range(std::uint32_t start_abs, std::uint32_t end_abs) {
@@ -300,8 +321,8 @@ void TcpSocket::retransmit_holes(int budget, bool force_first) {
   }
 }
 
-void TcpSocket::emit(const TcpHeader& h, BytesView payload) {
-  stack_.transmit(local_, remote_, serialize_segment(h, payload));
+void TcpSocket::emit(const TcpHeader& h) {
+  stack_.transmit(local_, remote_, serialize_segment(h, {}));
 }
 
 void TcpSocket::send_segment(std::uint32_t seq, std::size_t len, bool fin) {
@@ -311,9 +332,13 @@ void TcpSocket::send_segment(std::uint32_t seq, std::size_t len, bool fin) {
   h.ack_flag = true;
   h.fin = fin;
   h.window = static_cast<std::uint32_t>(config_.receive_window);
-  h.sack = receiver_sack_blocks();
-  const Bytes payload = send_buffer_.peek(seq - snd_una_, len);
-  emit(h, payload);
+  receiver_sack_blocks(h.sack);
+  // The one copy of the payload: send queue -> the segment's wire buffer.
+  const ByteQueue::Pieces payload = send_buffer_.pieces(seq - snd_una_, len);
+  ByteWriter w = begin_segment(h, payload.first.size() + payload.second.size());
+  w.raw(payload.first);
+  w.raw(payload.second);
+  stack_.transmit(local_, remote_, w.take());
 
   // Time one never-before-sent segment at a time (Karn's rule: only bytes
   // above the high-water mark are first transmissions).
@@ -424,7 +449,7 @@ void TcpSocket::on_rto() {
   arm_rtx_timer();
 }
 
-void TcpSocket::on_segment(const TcpHeader& h, Bytes payload) {
+void TcpSocket::on_segment(const TcpHeader& h, BytesView payload) {
   if (h.rst) {
     finish("reset by peer");
     return;
@@ -453,7 +478,7 @@ void TcpSocket::on_segment(const TcpHeader& h, Bytes payload) {
         state_ = State::Established;
         stack_.on_established(this);
         // The handshake ACK may carry data.
-        if (!payload.empty() || h.fin) handle_data(h, std::move(payload));
+        if (!payload.empty() || h.fin) handle_data(h, payload);
         return;
       }
       if (h.syn && !h.ack_flag) {
@@ -473,7 +498,7 @@ void TcpSocket::on_segment(const TcpHeader& h, Bytes payload) {
 
   if (h.ack_flag) handle_ack(h, payload.empty());
   if (state_ == State::Closed) return;  // finish() may have run
-  if (!payload.empty() || h.fin) handle_data(h, std::move(payload));
+  if (!payload.empty() || h.fin) handle_data(h, payload);
 }
 
 void TcpSocket::handle_ack(const TcpHeader& h, bool pure_ack) {
@@ -603,7 +628,7 @@ void TcpSocket::handle_ack(const TcpHeader& h, bool pure_ack) {
   }
 }
 
-void TcpSocket::handle_data(const TcpHeader& h, Bytes payload) {
+void TcpSocket::handle_data(const TcpHeader& h, BytesView payload) {
   if (h.fin) {
     peer_fin_received_ = true;
     peer_fin_seq_ = h.seq + static_cast<std::uint32_t>(payload.size());
@@ -614,12 +639,14 @@ void TcpSocket::handle_data(const TcpHeader& h, Bytes payload) {
     if (seq_le(seg_end, rcv_nxt_)) {
       send_ack();  // fully duplicate
     } else if (seq_lt(rcv_nxt_, h.seq)) {
-      out_of_order_.emplace(h.seq, std::move(payload));
+      // The only receive-side copy: the packet buffer is gone after this
+      // call, so out-of-order bytes are kept as an owned copy.
+      out_of_order_.emplace(h.seq, Bytes(payload.begin(), payload.end()));
       send_ack();  // duplicate ACK signals the hole
     } else {
       // In-order (possibly with overlap to trim).
       const std::uint32_t advance = rcv_nxt_ - h.seq;
-      BytesView fresh(payload.data() + advance, payload.size() - advance);
+      const BytesView fresh = payload.subspan(advance);
       rcv_nxt_ += static_cast<std::uint32_t>(fresh.size());
       if (on_data) {
         auto cb = on_data;  // callee may reassign on_data (MPTCP handoff)
@@ -760,7 +787,7 @@ void TcpStack::on_established(TcpSocket* socket) {
 
 void TcpStack::dispatch(net::Packet&& packet) {
   TcpHeader h;
-  Bytes payload;
+  BytesView payload;  // views packet.payload, which outlives this call
   if (!parse_segment(packet.payload, h, payload)) return;
   obs::inc(obs_rx_);
 
@@ -771,7 +798,7 @@ void TcpStack::dispatch(net::Packet&& packet) {
   if (it != sockets_.end()) {
     // Keep the socket alive across callbacks that may deregister it.
     std::shared_ptr<TcpSocket> socket = it->second;
-    socket->on_segment(h, std::move(payload));
+    socket->on_segment(h, payload);
     return;
   }
 

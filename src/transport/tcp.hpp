@@ -9,10 +9,11 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
-#include <vector>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "common/time.hpp"
 #include "net/node.hpp"
@@ -34,8 +35,16 @@ struct TcpConfig {
   int syn_retries = 6;
 };
 
+/// One SACK block: the receiver holds [start, end).
+struct SackBlock {
+  std::uint32_t start;
+  std::uint32_t end;
+  friend bool operator==(const SackBlock&, const SackBlock&) = default;
+};
+
 /// TCP segment header carried inside net::Packet payloads. Up to three SACK
-/// blocks ride along, mirroring the RFC 2018 option.
+/// blocks ride along, mirroring the RFC 2018 option; the parser keeps all
+/// that a (possibly corrupted) one-byte count announces, up to 255.
 struct TcpHeader {
   std::uint32_t seq = 0;
   std::uint32_t ack = 0;
@@ -44,12 +53,16 @@ struct TcpHeader {
   bool ack_flag = false;
   bool fin = false;
   bool rst = false;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> sack;  // [start, end)
+  std::vector<SackBlock> sack;
 };
 inline constexpr std::size_t kTcpHeaderBytes = 15;  // + 8 per SACK block
 
+/// Wire bytes of one segment, sized exactly once.
 Bytes serialize_segment(const TcpHeader& h, BytesView payload);
-bool parse_segment(BytesView wire, TcpHeader& h, Bytes& payload);
+/// Parse a segment without copying: on success `payload` views the bytes
+/// after the header inside `wire`. Returns false, leaving no exception
+/// behind, when the header or its SACK blocks do not fit in `wire`.
+bool parse_segment(BytesView wire, TcpHeader& h, BytesView& payload);
 
 class TcpStack;
 
@@ -59,6 +72,10 @@ class TcpSocket final : public StreamSocket {
   ~TcpSocket() override;
 
   std::size_t send(BytesView data) override;
+  /// Gather write for record framing: appends `parts` back to back, up to
+  /// send_space() bytes in all, then transmits once — the same segments as
+  /// one send() of their concatenation. Returns the bytes queued.
+  std::size_t send_gather(std::initializer_list<BytesView> parts);
   void close() override;
   std::size_t send_space() const override;
   bool connected() const override { return state_ == State::Established; }
@@ -107,9 +124,10 @@ class TcpSocket final : public StreamSocket {
 
   void start_connect();
   void start_passive(std::uint32_t peer_iss);
-  void on_segment(const TcpHeader& h, Bytes payload);
+  bool can_send() const;
+  void on_segment(const TcpHeader& h, BytesView payload);
   void handle_ack(const TcpHeader& h, bool pure_ack);
-  void handle_data(const TcpHeader& h, Bytes payload);
+  void handle_data(const TcpHeader& h, BytesView payload);
   void try_send();
   void send_segment(std::uint32_t seq, std::size_t len, bool fin);
   void send_ack();
@@ -123,7 +141,7 @@ class TcpSocket final : public StreamSocket {
   std::pair<std::uint32_t, std::size_t> next_hole(std::uint32_t from_rel) const;
   /// Retransmit up to `budget` hole segments (ack-clocked loss repair).
   void retransmit_holes(int budget, bool force_first = false);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> receiver_sack_blocks() const;
+  void receiver_sack_blocks(std::vector<SackBlock>& out) const;
 
   void on_rto();
   void arm_rtx_timer();
@@ -132,7 +150,7 @@ class TcpSocket final : public StreamSocket {
   void finish(const std::string& reason);
   std::size_t flight_size() const;
   std::uint32_t fin_seq() const;
-  void emit(const TcpHeader& h, BytesView payload);
+  void emit(const TcpHeader& h);
 
   TcpStack& stack_;
   net::EndPoint local_;
@@ -176,7 +194,7 @@ class TcpSocket final : public StreamSocket {
   // Receive side.
   std::uint32_t irs_ = 0;
   std::uint32_t rcv_nxt_ = 0;
-  std::map<std::uint32_t, Bytes> out_of_order_;  // keyed by start seq
+  std::map<std::uint32_t, Bytes> out_of_order_;  // keyed by start seq; owned copies
   bool peer_fin_received_ = false;
   std::uint32_t peer_fin_seq_ = 0;
 

@@ -254,6 +254,21 @@ TEST(BoxExtra, OpenGarbage) {
   }
 }
 
+TEST(BoxExtra, SealIsByteStable) {
+  // seal() and symmetric_seal() derive their enc/mac keys with HKDF from
+  // the drawn master secret; any change in how the keys are derived changes
+  // the sealed bytes. The digests (SHA-256 of the box) and next draws are
+  // frozen: settlement logs and every billing fingerprint depend on them.
+  Rng rng(31);
+  const RsaKeyPair keys = RsaKeyPair::generate(rng, 512);
+  const Bytes msg = to_bytes("cellbricks traffic report");
+  EXPECT_EQ(to_hex(sha256(seal(keys.public_key(), msg, rng))),
+            "1f35af0c422deec5b8e65e9e0696c87713b8ab9a6079a0466979c5857c531542");
+  EXPECT_EQ(to_hex(sha256(symmetric_seal(to_bytes("shared key"), msg, rng))),
+            "e009c9c7a3235e8065534547f08b001813ebc542bb4c87a5d943b72a1a40bb3d");
+  EXPECT_EQ(rng.next_u64(), 11618734226842932738ULL);
+}
+
 class BoxPayloadSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BoxPayloadSweep, RoundTripAnySize) {

@@ -100,7 +100,7 @@ TEST(Tcp, SegmentSerializationRoundTrip) {
   const Bytes wire = serialize_segment(h, payload);
 
   TcpHeader out;
-  Bytes out_payload;
+  BytesView out_payload;
   ASSERT_TRUE(parse_segment(wire, out, out_payload));
   EXPECT_EQ(out.seq, h.seq);
   EXPECT_EQ(out.ack, h.ack);
@@ -109,12 +109,12 @@ TEST(Tcp, SegmentSerializationRoundTrip) {
   EXPECT_TRUE(out.ack_flag);
   EXPECT_FALSE(out.fin);
   EXPECT_FALSE(out.rst);
-  EXPECT_EQ(out_payload, payload);
+  EXPECT_EQ(Bytes(out_payload.begin(), out_payload.end()), payload);
 }
 
 TEST(Tcp, ParseRejectsTruncated) {
   TcpHeader h;
-  Bytes payload;
+  BytesView payload;
   EXPECT_FALSE(parse_segment(Bytes(5, 0), h, payload));
 }
 

@@ -13,16 +13,22 @@ namespace {
 
 // --- ByteQueue -------------------------------------------------------------
 
+Bytes peek(const ByteQueue& q, std::size_t offset, std::size_t len) {
+  Bytes out(len);
+  out.resize(q.copy_out(offset, len, out.data()));
+  return out;
+}
+
 TEST(ByteQueue, AppendPeekPop) {
   ByteQueue q;
   EXPECT_TRUE(q.empty());
   q.append(to_bytes("hello "));
   q.append(to_bytes("world"));
   EXPECT_EQ(q.size(), 11u);
-  EXPECT_EQ(q.peek(0, 5), to_bytes("hello"));
-  EXPECT_EQ(q.peek(6, 5), to_bytes("world"));
+  EXPECT_EQ(peek(q, 0, 5), to_bytes("hello"));
+  EXPECT_EQ(peek(q, 6, 5), to_bytes("world"));
   q.pop(6);
-  EXPECT_EQ(q.peek(0, 5), to_bytes("world"));
+  EXPECT_EQ(peek(q, 0, 5), to_bytes("world"));
   q.pop(100);  // clamped
   EXPECT_TRUE(q.empty());
 }
@@ -30,9 +36,9 @@ TEST(ByteQueue, AppendPeekPop) {
 TEST(ByteQueue, PeekBeyondEndClamps) {
   ByteQueue q;
   q.append(to_bytes("abc"));
-  EXPECT_EQ(q.peek(1, 100), to_bytes("bc"));
-  EXPECT_TRUE(q.peek(3, 10).empty());
-  EXPECT_TRUE(q.peek(99, 1).empty());
+  EXPECT_EQ(peek(q, 1, 100), to_bytes("bc"));
+  EXPECT_TRUE(peek(q, 3, 10).empty());
+  EXPECT_TRUE(peek(q, 99, 1).empty());
 }
 
 TEST(ByteQueue, LargeChurn) {
@@ -62,12 +68,12 @@ TEST(TcpWire, SackBlocksRoundTrip) {
   const Bytes wire = serialize_segment(h, to_bytes("payload"));
 
   TcpHeader out;
-  Bytes payload;
+  BytesView payload;
   ASSERT_TRUE(parse_segment(wire, out, payload));
   ASSERT_EQ(out.sack.size(), 3u);
-  EXPECT_EQ(out.sack[0], (std::pair<std::uint32_t, std::uint32_t>{3000, 4400}));
-  EXPECT_EQ(out.sack[2], (std::pair<std::uint32_t, std::uint32_t>{9000, 9001}));
-  EXPECT_EQ(payload, to_bytes("payload"));
+  EXPECT_EQ(out.sack[0], (SackBlock{3000, 4400}));
+  EXPECT_EQ(out.sack[2], (SackBlock{9000, 9001}));
+  EXPECT_EQ(Bytes(payload.begin(), payload.end()), to_bytes("payload"));
 }
 
 TEST(TcpWire, EmptySackAndPayload) {
@@ -75,7 +81,7 @@ TEST(TcpWire, EmptySackAndPayload) {
   h.seq = 7;
   const Bytes wire = serialize_segment(h, {});
   TcpHeader out;
-  Bytes payload;
+  BytesView payload;
   ASSERT_TRUE(parse_segment(wire, out, payload));
   EXPECT_TRUE(out.sack.empty());
   EXPECT_TRUE(payload.empty());
@@ -91,7 +97,7 @@ TEST_P(TcpWireTruncation, TruncatedHeadersRejected) {
   const std::size_t keep = GetParam();
   if (keep >= wire.size()) GTEST_SKIP();
   TcpHeader out;
-  Bytes payload;
+  BytesView payload;
   // Either cleanly rejected or parsed as a shorter-but-valid frame; it must
   // never crash or throw.
   (void)parse_segment(BytesView(wire.data(), keep), out, payload);
@@ -105,9 +111,64 @@ TEST(TcpWire, RandomBytesNeverCrashParser) {
   for (int i = 0; i < 2000; ++i) {
     const Bytes junk = rng.random_bytes(rng.next_below(80));
     TcpHeader h;
-    Bytes payload;
+    BytesView payload;
     (void)parse_segment(junk, h, payload);
   }
+}
+
+TEST(TcpWire, MoreThanThreeSackBlocksRoundTrip) {
+  // Senders emit at most three blocks, but the count is a full byte on the
+  // wire and a corrupted segment can announce up to 255: every block that
+  // fits must parse, and the payload is a view into the wire bytes.
+  for (const std::size_t n : {4u, 7u, 255u}) {
+    TcpHeader h;
+    h.seq = 42;
+    for (std::size_t i = 0; i < n; ++i) {
+      h.sack.push_back({static_cast<std::uint32_t>(i * 1000),
+                        static_cast<std::uint32_t>(i * 1000 + 1 + i)});
+    }
+    const Bytes wire = serialize_segment(h, to_bytes("tail"));
+    ASSERT_EQ(wire.size(), kTcpHeaderBytes + 8 * n + 4);
+
+    TcpHeader out;
+    BytesView payload;
+    ASSERT_TRUE(parse_segment(wire, out, payload)) << n << " blocks";
+    ASSERT_EQ(out.sack.size(), n);
+    EXPECT_TRUE(std::equal(out.sack.begin(), out.sack.end(), h.sack.begin()));
+    EXPECT_EQ(out.seq, 42u);
+    EXPECT_EQ(payload.data(), wire.data() + kTcpHeaderBytes + 8 * n);
+    EXPECT_EQ(Bytes(payload.begin(), payload.end()), to_bytes("tail"));
+  }
+}
+
+TEST(TcpWire, ParseIsBoundsCheckedWithoutThrowing) {
+  // A cut anywhere inside the header (fixed part or SACK blocks) is a clean
+  // rejection, never an exception; a cut after it is a shorter payload.
+  TcpHeader h;
+  h.sack = {{1, 2}, {3, 4}, {5, 6}, {7, 8}, {9, 10}};
+  const Bytes wire = serialize_segment(h, to_bytes("xyz"));
+  const std::size_t header = kTcpHeaderBytes + 8 * h.sack.size();
+  for (std::size_t keep = 0; keep <= wire.size(); ++keep) {
+    TcpHeader out;
+    BytesView payload;
+    bool ok = false;
+    EXPECT_NO_THROW(ok = parse_segment(BytesView(wire.data(), keep), out, payload));
+    EXPECT_EQ(ok, keep >= header) << "keep " << keep;
+    if (ok) {
+      EXPECT_EQ(payload.size(), keep - header);
+    }
+  }
+
+  // A count byte claiming more blocks than the bytes behind it.
+  Bytes lying = serialize_segment(TcpHeader{}, to_bytes("0123456789abcdef"));
+  lying[14] = 3;  // needs 24 bytes of blocks, only 16 follow
+  TcpHeader out;
+  BytesView payload;
+  EXPECT_FALSE(parse_segment(lying, out, payload));
+  lying[14] = 2;  // exactly fits: the payload is consumed as blocks
+  ASSERT_TRUE(parse_segment(lying, out, payload));
+  EXPECT_EQ(out.sack.size(), 2u);
+  EXPECT_TRUE(payload.empty());
 }
 
 // --- Config knobs ---------------------------------------------------------------
