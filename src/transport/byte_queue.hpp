@@ -61,10 +61,14 @@ class ByteQueue {
   }
 
   /// Copy `len` bytes starting `offset` bytes from the front into `dst`
-  /// (clamped to the available range); returns how many were copied.
+  /// (clamped to the available range); returns how many were copied. A
+  /// null `dst` receives nothing.
   std::size_t copy_out(std::size_t offset, std::size_t len, std::uint8_t* dst) const {
     const Pieces p = pieces(offset, len);
-    if (!p.first.empty()) std::memcpy(dst, p.first.data(), p.first.size());
+    // Tested on `dst` itself so that the compiler, which cannot see that
+    // the range is empty, still sees that memcpy never gets a null pointer.
+    if (dst == nullptr || p.first.empty()) return 0;
+    std::memcpy(dst, p.first.data(), p.first.size());
     if (!p.second.empty()) std::memcpy(dst + p.first.size(), p.second.data(), p.second.size());
     return p.first.size() + p.second.size();
   }

@@ -43,7 +43,9 @@ void expect_range(const ByteQueue& q, const Model& m, std::size_t offset, std::s
   const Bytes want = model_range(m, offset, len);
   const ByteQueue::Pieces p = q.pieces(offset, len);
   EXPECT_EQ(joined(p), want) << "pieces " << offset << "+" << len;
-  if (p.first.size() < want.size()) EXPECT_FALSE(p.second.empty());
+  if (p.first.size() < want.size()) {
+    EXPECT_FALSE(p.second.empty());
+  }
   Bytes out(want.size() + 8, 0xEE);  // guard bytes must survive
   EXPECT_EQ(q.copy_out(offset, len, out.data()), want.size());
   EXPECT_TRUE(std::equal(want.begin(), want.end(), out.begin()));

@@ -145,6 +145,188 @@ TEST(Link, DownLinkDropsEverything) {
   EXPECT_EQ(received, 1);
 }
 
+// --- Link pipeline: timing fixed at admission, one landing event per
+// direction (DESIGN.md §8, "Link pipeline"). -------------------------------
+
+// a -> b over one link; records every arrival at b as (ms, payload size).
+struct Pipe {
+  explicit Pipe(LinkParams params) {
+    t.network.register_address(Ipv4Addr(10, 0, 0, 1), t.a);
+    t.network.register_address(Ipv4Addr(10, 0, 0, 2), t.b);
+    link = t.network.connect(t.a, t.b, params);
+    t.b->bind_udp(5000, [this](const Packet& p) {
+      arrivals.push_back({t.sim.now().nanos() / 1e6, p.payload.size()});
+    });
+  }
+  // 960 payload bytes + 40 of overhead = 1000 wire bytes: 8 ms at 1 Mb/s.
+  void send(std::size_t payload = 960) {
+    t.a->send(make_udp({Ipv4Addr(10, 0, 0, 1), 1}, {Ipv4Addr(10, 0, 0, 2), 5000}, payload));
+  }
+  void run_until_ms(std::int64_t ms) { t.sim.run_until(TimePoint::zero() + Duration::ms(ms)); }
+
+  struct Arrival {
+    double ms;
+    std::size_t size;
+  };
+  TwoNodes t;
+  Link* link = nullptr;
+  std::vector<Arrival> arrivals;
+};
+
+TEST(LinkPipeline, BackToBackLandAtSerializationPlusPropagation) {
+  // The two-stage model: packet i starts when i-1 finishes serializing (or
+  // on arrival at an idle link) and lands `delay` after it finishes.
+  Pipe p(LinkParams{.rate_bps = 1e6, .delay = Duration::ms(5)});
+  p.send();
+  p.send();
+  p.send();
+  p.run_until_ms(10);  // packet 2 is serializing (8..16 ms)
+  p.send();            // queues behind packet 3: starts at 24 ms
+  p.run_until_ms(100);
+  p.send();  // idle link: starts at once
+  p.t.sim.run();
+  ASSERT_EQ(p.arrivals.size(), 5u);
+  const double want[] = {13, 21, 29, 37, 113};
+  for (std::size_t i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(p.arrivals[i].ms, want[i]) << i;
+  EXPECT_EQ(p.t.sim.events_queued(), 0u);
+}
+
+TEST(LinkPipeline, OneLandingEventPerDirection) {
+  Pipe p(LinkParams{.rate_bps = 1e6, .delay = Duration::ms(5)});
+  for (int i = 0; i < 10; ++i) p.send();
+  EXPECT_EQ(p.t.sim.events_queued(), 1u);  // the head's landing only
+  const std::uint64_t before = p.t.sim.events_executed();
+  p.t.sim.run();
+  EXPECT_EQ(p.arrivals.size(), 10u);
+  EXPECT_EQ(p.t.sim.events_executed() - before, 10u);  // one event per packet-hop
+}
+
+TEST(LinkPipeline, RingGrowsWhileWrappedKeepsFifo) {
+  // A ring keeps its size after it drains, so later bursts wrap around its
+  // end; growing while wrapped must keep the frames in order.
+  Pipe p(LinkParams{.delay = Duration::ms(10)});
+  for (std::size_t i = 1; i <= 12; ++i) p.send(i);
+  p.run_until_ms(20);  // all twelve landed; the head sits mid-ring
+  for (std::size_t i = 101; i <= 130; ++i) p.send(i);  // wraps, then grows
+  EXPECT_EQ(p.t.sim.events_queued(), 1u);
+  p.t.sim.run();
+  ASSERT_EQ(p.arrivals.size(), 42u);
+  for (std::size_t i = 0; i < 42; ++i) {
+    EXPECT_EQ(p.arrivals[i].size, i < 12 ? i + 1 : i + 89) << i;
+    EXPECT_DOUBLE_EQ(p.arrivals[i].ms, i < 12 ? 10 : 30) << i;
+  }
+}
+
+TEST(LinkPipeline, RateChangeRetimesOnlyUnstartedPackets) {
+  Pipe p(LinkParams{.rate_bps = 1e6});
+  p.send();
+  p.send();
+  p.send();
+  p.run_until_ms(4);  // packet 1 is half serialized at 1 Mb/s
+  p.link->set_params(p.t.a, LinkParams{.rate_bps = 2e6});
+  p.t.sim.run();
+  ASSERT_EQ(p.arrivals.size(), 3u);
+  EXPECT_DOUBLE_EQ(p.arrivals[0].ms, 8);   // started before the change
+  EXPECT_DOUBLE_EQ(p.arrivals[1].ms, 12);  // 4 ms each at 2 Mb/s
+  EXPECT_DOUBLE_EQ(p.arrivals[2].ms, 16);
+}
+
+TEST(LinkPipeline, DropTailCountsOnlyUnstartedBytes) {
+  LinkParams params{.rate_bps = 1e6, .delay = Duration::ms(100)};
+  params.queue_bytes = 2000;
+  Pipe p(params);
+  for (int i = 0; i < 4; ++i) p.send();
+  // Packet 1 transmits at once; 2 and 3 fill the 2000-byte queue; 4 drops.
+  EXPECT_EQ(p.link->drops(), 1u);
+  p.run_until_ms(8);  // packet 2 starts: one queue slot frees
+  p.send();
+  p.send();
+  EXPECT_EQ(p.link->drops(), 2u);
+  // By 40 ms everything has serialized; four packets are still propagating
+  // but hold no queue space, so the same 1 + 2 admissions fit again.
+  p.run_until_ms(40);
+  for (int i = 0; i < 4; ++i) p.send();
+  EXPECT_EQ(p.link->drops(), 3u);
+  p.t.sim.run();
+  EXPECT_EQ(p.arrivals.size(), 7u);
+}
+
+TEST(LinkPipeline, FrameInFlightAcrossFlapIsDropped) {
+  // Regression: a frame sent before a down -> up flap that would land after
+  // it used to be delivered anyway.
+  Pipe p(LinkParams{.rate_bps = 1e6, .delay = Duration::ms(10)});
+  p.send();
+  p.send();
+  p.run_until_ms(12);  // packet 1 propagating, packet 2 serializing
+  p.link->set_up(false);
+  p.link->set_up(true);
+  EXPECT_EQ(p.link->drops(), 2u);
+  EXPECT_EQ(p.t.sim.events_queued(), 0u);  // the stale landing is cancelled
+  p.t.sim.run();
+  EXPECT_TRUE(p.arrivals.empty());
+  EXPECT_EQ(p.link->counters(p.t.a).sent_packets, 2u);
+  EXPECT_EQ(p.link->counters(p.t.a).delivered_packets, 0u);
+
+  // The transmitter is idle after the flap: a new packet starts at once.
+  p.send();
+  p.t.sim.run();
+  ASSERT_EQ(p.arrivals.size(), 1u);
+  EXPECT_DOUBLE_EQ(p.arrivals[0].ms, 12 + 8 + 10);
+}
+
+TEST(LinkPipeline, ReceiverTakingTheLinkDownDropsTheRest) {
+  Pipe p(LinkParams{.rate_bps = 1e6, .delay = Duration::ms(10)});
+  p.t.b->bind_udp(6000, [&](const Packet&) { p.link->set_up(false); });
+  p.t.a->send(make_udp({Ipv4Addr(10, 0, 0, 1), 1}, {Ipv4Addr(10, 0, 0, 2), 6000}, 960));
+  p.send();
+  p.t.sim.run();
+  EXPECT_TRUE(p.arrivals.empty());
+  EXPECT_EQ(p.link->drops(), 1u);
+  EXPECT_EQ(p.link->delivered(), 1u);
+}
+
+TEST(LinkPipeline, DelayDecreaseKeepsFifo) {
+  Pipe p(LinkParams{.delay = Duration::ms(50)});
+  p.send(100);  // lands at 50 ms
+  p.run_until_ms(1);
+  p.link->set_params(p.t.a, LinkParams{.delay = Duration::ms(10)});
+  p.run_until_ms(2);
+  p.send(200);  // 12 ms under the new delay, but may not overtake packet 1
+  p.run_until_ms(45);
+  p.send(300);  // behind nothing still in flight at 55 ms
+  p.t.sim.run();
+  ASSERT_EQ(p.arrivals.size(), 3u);
+  EXPECT_EQ(p.arrivals[0].size, 100u);
+  EXPECT_DOUBLE_EQ(p.arrivals[0].ms, 50);
+  EXPECT_EQ(p.arrivals[1].size, 200u);
+  EXPECT_DOUBLE_EQ(p.arrivals[1].ms, 50);
+  EXPECT_EQ(p.arrivals[2].size, 300u);
+  EXPECT_DOUBLE_EQ(p.arrivals[2].ms, 55);
+}
+
+TEST(LinkPipeline, SentCountsAtStartDeliveredAtLanding) {
+  Pipe p(LinkParams{.rate_bps = 1e6, .delay = Duration::ms(10)});
+  p.send();
+  p.send();
+  const auto read = [&] { return p.link->counters(p.t.a); };
+  EXPECT_EQ(read().sent_packets, 1u);  // packet 2 waits for packet 1
+  EXPECT_EQ(read().sent_bytes, 1000u);
+  // No event runs at 8 ms; the read itself catches the direction up.
+  p.run_until_ms(8);
+  EXPECT_EQ(read().sent_packets, 2u);
+  EXPECT_EQ(read().sent_bytes, 2000u);
+  EXPECT_EQ(read().delivered_packets, 0u);
+  p.run_until_ms(17);
+  EXPECT_EQ(read().delivered_packets, 0u);  // serialized at 8 ms, lands at 18
+  p.run_until_ms(18);
+  EXPECT_EQ(read().delivered_packets, 1u);
+  EXPECT_EQ(read().delivered_bytes, 1000u);
+  p.t.sim.run();
+  EXPECT_EQ(read().delivered_packets, 2u);
+  EXPECT_EQ(read().delivered_bytes, 2000u);
+  EXPECT_EQ(p.link->counters(p.t.b).sent_packets, 0u);  // the other direction
+}
+
 TEST(Routing, MultiHopForwarding) {
   sim::Simulator sim;
   Network net(sim);
